@@ -46,9 +46,10 @@ def _frob_matrix(ctx: FieldCtx) -> np.ndarray:
 
 def frobenius_array(ctx: FieldCtx, arr: np.ndarray) -> np.ndarray:
     """Apply the q-power map entrywise to an (..., K) coefficient array."""
+    kernels._check_exact(ctx.deg, ctx.p, "frobenius_array")
     mat = _frob_matrix(ctx).astype(np.float64)
-    flat = arr.reshape(-1, ctx.deg).astype(np.float64)
-    out = (flat @ mat.T).astype(np.int64) % ctx.p
+    out = (arr.reshape(-1, ctx.deg).astype(np.float64) @ mat.T).astype(np.int64)
+    out %= ctx.p
     return out.reshape(arr.shape)
 
 

@@ -13,12 +13,36 @@ time from the ``DESIGNFORGE_BACKEND`` environment variable ("numba" or
 with :func:`set_backend`.  ``DESIGNFORGE_THREADS`` caps the numba thread
 pool.
 
-All kernels are exact: p < 2^16 and K <= 64 keep every intermediate value
-well inside int64 (and inside the 2^53 float window where BLAS is used).
+The numpy ``dot_batch``, ``gather_dot`` and ``matmul`` are two float64
+products each (delayed modular reduction over BLAS, as in FFLAS-FFPACK):
+
+1. One product over the inner index gives every coefficient-pair sum
+   P[i, j] = sum_e a[e, i] * b[e, j]: a batched ``matmul`` of (m, K, D) @
+   (m, D, K) for the dot kernels, one (R*K, M) @ (M, K*C) GEMM per row block
+   for ``matmul``.
+2. One product with the (K^2, K) fold matrix, whose row i*K+j is x^(i+j)
+   reduced mod f (the unit vector e_(i+j) when i+j < K, else red[i+j-K]),
+   does the convolution and the modulus reduction together; mod p is taken
+   once at the end.
+
+Float64 holds every integer below 2^53, and all operands are residues in
+[0, p), so a sum of t products of residues is exact when t*(p-1)^2 < 2^53.
+The kernels enforce this and raise OverflowError rather than round:
+
+- product step: inner length * (p-1)^2 < 2^53; a longer inner dimension is
+  split into blocks with a reduction mod p after each;
+- fold: K^2 * (p-1)^2 < 2^53; P is reduced mod p before the fold;
+- modulus reduction of a convolution (``mul_batch``, ``elim_update``):
+  (K-1) * (p-1)^2 < 2^53; ``fflinalg.frobenius_array``: K * (p-1)^2 < 2^53.
+
+The supported fields (p < 2^16, K <= 64) meet every bound except the
+product step over inner dimensions beyond about 2^21, which is blocked.
+Integer kernels keep every intermediate well inside int64.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -236,13 +260,82 @@ def _nb_elim_update(rows, factors, pivot, red, p):
 # numpy backend
 # ---------------------------------------------------------------------------
 
+_EXACT = 1 << 53  # float64 holds every integer below this exactly
+_GATHER_CHUNK = 1 << 16  # float elements per gathered operand chunk (cache-sized)
+_MATMUL_BLOCK = 1 << 22  # float elements per row block's product and its A copy
+
+
+def _check_exact(terms, p, what):
+    """Raise unless a sum of `terms` products of residues mod p is exact in float64."""
+    if terms * (p - 1) ** 2 >= _EXACT:
+        raise OverflowError(
+            f"{what}: {terms} products of residues mod {p} can reach 2^53, "
+            "where float64 stops representing every integer"
+        )
+
+
+@functools.lru_cache(maxsize=16)
+def _fold_cached(p, k, red_bytes):
+    red = np.frombuffer(red_bytes, dtype=np.int64).reshape(k - 1, k)
+    # x^s for s = 0 .. 2K-2: the unit vectors, then the rows of red
+    powers = np.vstack([np.eye(k), red]).astype(np.float64)
+    fold = powers[np.add.outer(np.arange(k), np.arange(k))].reshape(k * k, k)
+    fold.flags.writeable = False
+    return fold
+
+
+def _fold_matrix(red, p):
+    """(K^2, K) matrix whose row i*K+j is x^(i+j) reduced mod the field modulus."""
+    k = red.shape[1]
+    _check_exact(k * k, p, "coefficient fold")
+    return _fold_cached(p, k, red.tobytes())
+
+
+def _mod_exact(x, p):
+    """Reduce float x, integers below 2^53, mod p in place.
+
+    The round trip through int64 takes about a third of the time of numpy's
+    float remainder.
+    """
+    r = x.astype(np.int64)
+    r %= p
+    x[...] = r
+    return x
+
+
+def _exact_matmul(a, b, p):
+    """Float a @ b reduced mod p, exact for every inner length.
+
+    The inner dimension is split into blocks whose sums stay below 2^53, and
+    the result is reduced mod p after each block.
+    """
+    blk = (_EXACT - 1) // (p - 1) ** 2
+    out = _mod_exact(np.matmul(a[..., :blk], b[..., :blk, :]), p)
+    for lo in range(blk, a.shape[-1], blk):
+        out += _mod_exact(np.matmul(a[..., lo : lo + blk], b[..., lo : lo + blk, :]), p)
+        _mod_exact(out, p)
+    return out
+
+
+def _pair_dots(xt, yf, fold, p):
+    """Folded dots of float (m, K, D) and (m, D, K) operands -> (m, K) int64."""
+    m, k = xt.shape[:2]
+    prod = _exact_matmul(xt, yf, p).reshape(m, k * k)
+    out = (prod @ fold).astype(np.int64)
+    out %= p
+    return out
+
 
 def _np_reduce(conv, red, p):
-    """Reduce convolution coefficients (N, 2K-1) to (N, K) mod the modulus."""
+    """Reduce convolution coefficients (N, 2K-1) to (N, K) mod the modulus.
+
+    conv is reduced mod p in place; callers pass a temporary they discard.
+    """
     k = red.shape[1]
-    conv = conv % p
+    conv %= p
     out = conv[:, :k].copy()
     if k > 1:
+        _check_exact(k - 1, p, "modulus reduction")
         high = conv[:, k:].astype(np.float64)
         out += (high @ red.astype(np.float64)).astype(np.int64)
         out %= p
@@ -258,43 +351,42 @@ def _np_mul_batch(a, b, red, p):
 
 
 def _np_dot_batch(x, y, red, p):
-    n, d, k = x.shape
-    conv = np.zeros((n, 2 * k - 1), dtype=np.int64)
-    xf = x.astype(np.float64)
-    yf = y.astype(np.float64)
-    for i in range(k):
-        for j in range(k):
-            s = np.einsum("nd,nd->n", xf[:, :, i], yf[:, :, j])
-            conv[:, i + j] += s.astype(np.int64)
-        conv[:, i : i + k] %= p
-    return _np_reduce(conv, red, p)
+    xt = np.ascontiguousarray(x.transpose(0, 2, 1), dtype=np.float64)
+    return _pair_dots(xt, y.astype(np.float64), _fold_matrix(red, p), p)
 
 
 def _np_gather_dot(x, y, ki, kj, red, p):
-    # chunk the gathered copies to keep peak memory flat
+    # convert once; gather float rows in chunks to keep peak memory flat
+    fold = _fold_matrix(red, p)
     m = ki.shape[0]
-    k = x.shape[2]
-    step = max(1, (1 << 24) // max(x.shape[1] * k, 1))
+    _, d, k = x.shape
+    xt = np.ascontiguousarray(x.transpose(0, 2, 1), dtype=np.float64)
+    yf = y.astype(np.float64)
+    step = max(1, _GATHER_CHUNK // max(d * k, 1))
     out = np.empty((m, k), dtype=np.int64)
     for lo in range(0, m, step):
         hi = min(lo + step, m)
-        out[lo:hi] = _np_dot_batch(x[ki[lo:hi]], y[kj[lo:hi]], red, p)
+        out[lo:hi] = _pair_dots(xt[ki[lo:hi]], yf[kj[lo:hi]], fold, p)
     return out
 
 
 def _np_matmul(a, b, red, p):
     rows, mid, k = a.shape
     cols = b.shape[1]
-    conv = np.zeros((rows, cols, 2 * k - 1), dtype=np.int64)
-    af = a.astype(np.float64)
-    bf = b.astype(np.float64)
-    for i in range(k):
-        ai = af[:, :, i]
-        for j in range(k):
-            conv[:, :, i + j] += (ai @ bf[:, :, j]).astype(np.int64)
-        conv[:, :, i : i + k] %= p
-    flat = _np_reduce(conv.reshape(rows * cols, 2 * k - 1), red, p)
-    return flat.reshape(rows, cols, k)
+    fold_t = _fold_matrix(red, p).T
+    # columns ordered (j, c), so a row block's product is (block rows, K*K, C)
+    bt = np.ascontiguousarray(b.transpose(0, 2, 1), dtype=np.float64)
+    bt = bt.reshape(mid, k * cols)
+    step = max(1, _MATMUL_BLOCK // max(k * max(mid, k * cols), 1))
+    out = np.empty((rows, cols, k), dtype=np.int64)
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        at = np.ascontiguousarray(a[lo:hi].transpose(0, 2, 1), dtype=np.float64)
+        prod = _exact_matmul(at.reshape((hi - lo) * k, mid), bt, p)
+        folded = np.matmul(fold_t, prod.reshape(hi - lo, k * k, cols))
+        out[lo:hi] = folded.transpose(0, 2, 1)
+        out[lo:hi] %= p
+    return out
 
 
 def _np_elim_update(rows, factors, pivot, red, p):

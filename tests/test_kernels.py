@@ -143,3 +143,123 @@ def test_thread_cap_env(monkeypatch):
     a = np.array([[1, 2], [2, 2]], dtype=np.int64)
     out = kernels.mul_batch(a, a, ctx.red, ctx.p)
     assert out.shape == (2, 2)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's fields and shapes, chunk and block boundaries, views
+# ---------------------------------------------------------------------------
+
+BENCH_FIELDS = [(7, 24), (2, 18)]
+
+
+def _dot_oracle(ctx, xs, ys):
+    acc = ctx.zero()
+    for xe, ye in zip(xs, ys):
+        acc = acc + _as_elem(ctx, xe) * _as_elem(ctx, ye)
+    return acc.coeffs
+
+
+@pytest.mark.parametrize("p,k", BENCH_FIELDS)
+def test_gather_dot_spans_chunks(p, k, keep_backend):
+    ctx = build_field(p, k)
+    rng = np.random.default_rng(p * k)
+    n, d = 9, 73
+    step = kernels._GATHER_CHUNK // (d * k)
+    m = 3 * step + 5
+    x = _rand_elems(rng, ctx, (n, d))
+    y = _rand_elems(rng, ctx, (n, d))
+    ki = rng.integers(0, n, size=m)
+    kj = rng.integers(0, n, size=m)
+    for name in kernels.available_backends():
+        kernels.set_backend(name)
+        got = kernels.gather_dot(x, y, ki, kj, ctx.red, ctx.p)
+        for r in (0, step - 1, step, 2 * step + 1, m - 1):
+            assert np.array_equal(got[r], _dot_oracle(ctx, x[ki[r]], y[kj[r]])), (name, r)
+
+
+@pytest.mark.parametrize("p,k", BENCH_FIELDS)
+def test_matmul_spans_row_blocks(p, k, keep_backend):
+    ctx = build_field(p, k)
+    rng = np.random.default_rng(p + 3 * k)
+    mid, cols = 3, 40
+    step = kernels._MATMUL_BLOCK // (k * k * cols)
+    rows = 2 * step + 3
+    a = _rand_elems(rng, ctx, (rows, mid))
+    b = _rand_elems(rng, ctx, (mid, cols))
+    for name in kernels.available_backends():
+        kernels.set_backend(name)
+        got = kernels.matmul(a, b, ctx.red, ctx.p)
+        for r, c in ((0, 0), (step - 1, 7), (step, 39), (2 * step, 1), (rows - 1, 20)):
+            want = _dot_oracle(ctx, a[r], b[:, c])
+            assert np.array_equal(got[r, c], want), (name, r, c)
+
+
+@pytest.mark.parametrize("p,k", BENCH_FIELDS)
+def test_kernels_accept_views(p, k, keep_backend):
+    # transposed, reversed and broadcast operands are read like their copies
+    ctx = build_field(p, k)
+    rng = np.random.default_rng(5 * p + k)
+    store = _rand_elems(rng, ctx, (6, 4))
+    a = store.transpose(1, 0, 2)  # (4, 6, K), not contiguous
+    b = _rand_elems(rng, ctx, (6, 3))[::-1]
+    row = _rand_elems(rng, ctx, (6,))
+    y = np.broadcast_to(row, (4, 6, k))
+    ki = np.array([0, 3, 2, 3])
+    kj = np.array([1, 1, 0, 3])
+    for name in kernels.available_backends():
+        kernels.set_backend(name)
+        mm = kernels.matmul(a, b, ctx.red, ctx.p)
+        dots = kernels.dot_batch(a, y, ctx.red, ctx.p)
+        gd = kernels.gather_dot(a, y, ki, kj, ctx.red, ctx.p)
+        for r in range(4):
+            for c in range(3):
+                assert np.array_equal(mm[r, c], _dot_oracle(ctx, a[r], b[:, c])), name
+            assert np.array_equal(dots[r], _dot_oracle(ctx, a[r], row)), name
+            assert np.array_equal(gd[r], _dot_oracle(ctx, a[ki[r]], row)), name
+
+
+def test_fold_matrix_built_once_per_field():
+    ctx = build_field(7, 24)
+    fold = kernels._fold_matrix(ctx.red, ctx.p)
+    assert fold.shape == (24 * 24, 24)
+    assert kernels._fold_matrix(ctx.red.copy(), ctx.p) is fold
+
+
+# ---------------------------------------------------------------------------
+# the 2^53 float window
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kernel", ["matmul", "dot_batch", "gather_dot"])
+def test_long_inner_dimension_is_exact(kernel, keep_backend):
+    # (p-2)^2 is odd, so a float sum past 2^53 would round visibly
+    kernels.set_backend("numpy")
+    ctx = build_field(65521, 1)
+    p = ctx.p
+    mid = 2_100_001
+    assert mid * (p - 2) ** 2 > 2**53
+    want = mid * (p - 2) ** 2 % p
+    col = np.full((mid, 1), p - 2, dtype=np.int64)
+    if kernel == "matmul":
+        got = kernels.matmul(col[None], col[:, None], ctx.red, p)[0, 0]
+    elif kernel == "dot_batch":
+        got = kernels.dot_batch(col[None], col[None], ctx.red, p)[0]
+    else:
+        zero = np.zeros(1, dtype=np.int64)
+        got = kernels.gather_dot(col[None], col[None], zero, zero, ctx.red, p)[0]
+    assert got.tolist() == [want]
+
+
+def test_out_of_window_prime_raises(keep_backend):
+    # a prime whose squared residues pass 2^53 is refused, not rounded
+    kernels.set_backend("numpy")
+    p = 100_000_007
+    assert (p - 1) ** 2 >= 2**53
+    red = np.array([[1, 0]], dtype=np.int64)
+    a = np.ones((2, 2), dtype=np.int64)
+    with pytest.raises(OverflowError):
+        kernels.mul_batch(a, a, red, p)
+    with pytest.raises(OverflowError):
+        kernels.dot_batch(a[None], a[None], red, p)
+    with pytest.raises(OverflowError):
+        kernels.matmul(a[None], a[:, None], red, p)

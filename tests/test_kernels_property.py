@@ -1,0 +1,137 @@
+"""Property tests: every kernel backend against scalar element arithmetic."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from designforge import kernels
+from designforge.ffcore import MAX_PRIME, FieldElement, build_field
+
+
+def _rand_elems(rng, ctx, shape):
+    return rng.integers(0, ctx.p, size=shape + (ctx.deg,)).astype(np.int64)
+
+
+def _as_elem(ctx, coeffs):
+    return FieldElement(ctx, coeffs)
+
+
+def _dot_oracle(ctx, xs, ys):
+    acc = ctx.zero()
+    for xe, ye in zip(xs, ys):
+        acc = acc + _as_elem(ctx, xe) * _as_elem(ctx, ye)
+    return acc.coeffs
+
+
+# random small fields, p up to the largest prime below MAX_PRIME
+P_TOP = MAX_PRIME - 15  # 65521, the largest prime below MAX_PRIME
+PROPERTY_FIELDS = [
+    (2, 1), (2, 5), (2, 8), (3, 4), (5, 3), (7, 6), (13, 2),
+    (65497, 3), (65519, 2), (P_TOP, 1), (P_TOP, 2), (P_TOP, 4),
+]
+
+fields = st.sampled_from(PROPERTY_FIELDS)
+seeds = st.integers(0, 2**32 - 1)
+sizes = st.integers(1, 5)
+PROPERTY = settings(max_examples=25, deadline=None)
+
+
+def _for_each_backend(check):
+    saved = kernels.backend()
+    try:
+        for name in kernels.available_backends():
+            kernels.set_backend(name)
+            check(name)
+    finally:
+        kernels.set_backend(saved)
+
+
+@PROPERTY
+@given(fields, seeds, sizes)
+def test_mul_batch_property(field, seed, n):
+    ctx = build_field(*field)
+    rng = np.random.default_rng(seed)
+    a = _rand_elems(rng, ctx, (n,))
+    b = _rand_elems(rng, ctx, (n,))
+    want = np.stack([(_as_elem(ctx, a[i]) * _as_elem(ctx, b[i])).coeffs for i in range(n)])
+
+    def check(name):
+        assert np.array_equal(kernels.mul_batch(a, b, ctx.red, ctx.p), want), name
+
+    _for_each_backend(check)
+
+
+@PROPERTY
+@given(fields, seeds, sizes, st.integers(0, 6))
+def test_dot_batch_property(field, seed, n, d):
+    ctx = build_field(*field)
+    rng = np.random.default_rng(seed)
+    x = _rand_elems(rng, ctx, (n, d))
+    y = _rand_elems(rng, ctx, (n, d))
+    want = np.stack([_dot_oracle(ctx, x[r], y[r]) for r in range(n)])
+
+    def check(name):
+        assert np.array_equal(kernels.dot_batch(x, y, ctx.red, ctx.p), want), name
+
+    _for_each_backend(check)
+
+
+@PROPERTY
+@given(fields, seeds, sizes, st.integers(1, 6), st.integers(0, 12))
+def test_gather_dot_property(field, seed, n, d, m):
+    ctx = build_field(*field)
+    rng = np.random.default_rng(seed)
+    x = _rand_elems(rng, ctx, (n, d))
+    y = _rand_elems(rng, ctx, (n, d))
+    ki = rng.integers(0, n, size=m)
+    kj = rng.integers(0, n, size=m)
+    want = np.array([_dot_oracle(ctx, x[i], y[j]) for i, j in zip(ki, kj)]).reshape(m, ctx.deg)
+
+    def check(name):
+        got = kernels.gather_dot(x, y, ki, kj, ctx.red, ctx.p)
+        assert np.array_equal(got, want), name
+
+    _for_each_backend(check)
+
+
+@PROPERTY
+@given(fields, seeds, sizes, st.integers(0, 5), sizes)
+def test_matmul_property(field, seed, rows, mid, cols):
+    ctx = build_field(*field)
+    rng = np.random.default_rng(seed)
+    a = _rand_elems(rng, ctx, (rows, mid))
+    b = _rand_elems(rng, ctx, (mid, cols))
+    want = np.array(
+        [[_dot_oracle(ctx, a[r], b[:, c]) for c in range(cols)] for r in range(rows)]
+    ).reshape(rows, cols, ctx.deg)
+
+    def check(name):
+        assert np.array_equal(kernels.matmul(a, b, ctx.red, ctx.p), want), name
+
+    _for_each_backend(check)
+
+
+@PROPERTY
+@given(fields, seeds, sizes, sizes)
+def test_elim_update_property(field, seed, nr, nc):
+    ctx = build_field(*field)
+    rng = np.random.default_rng(seed)
+    rows = _rand_elems(rng, ctx, (nr, nc))
+    factors = _rand_elems(rng, ctx, (nr,))
+    pivot = _rand_elems(rng, ctx, (nc,))
+    want = np.array(
+        [
+            [
+                (_as_elem(ctx, rows[r, c]) - _as_elem(ctx, factors[r]) * _as_elem(ctx, pivot[c])).coeffs
+                for c in range(nc)
+            ]
+            for r in range(nr)
+        ]
+    )
+
+    def check(name):
+        work = rows.copy()
+        kernels.elim_update(work, factors, pivot, ctx.red, ctx.p)
+        assert np.array_equal(work, want), name
+
+    _for_each_backend(check)
