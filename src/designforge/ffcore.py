@@ -551,19 +551,28 @@ def build_field(p: int, k: int) -> FieldCtx:
     if k == 1:
         modulus = np.array([0, 1], dtype=np.int64)
         return FieldCtx(p, 1, modulus)
-    c = 0
-    while True:
+    # Candidates come in runs of p that share every coefficient but the
+    # constant term c0.  f = g + c0 has a root in F_p exactly when c0 is some
+    # -g(a), so one vectorized pass over F_p rules those out before the
+    # irreducibility test (for p = 2 mod 3 every x^3 + c0 has a root).
+    pts = np.arange(p, dtype=np.int64)
+    for upper in range(p ** (k - 1)):
         digits = np.zeros(k + 1, dtype=np.int64)
-        n = c
-        for i in range(k):
+        n = upper
+        for i in range(1, k):
             digits[i] = n % p
             n //= p
-        if n:
-            raise FieldError(f"no irreducible of degree {k} found")  # pragma: no cover
         digits[k] = 1
-        if _is_irreducible(digits, p):
-            return FieldCtx(p, k, digits)
-        c += 1
+        g = np.zeros(p, dtype=np.int64)
+        for coef in digits[:0:-1]:  # Horner for g(a) = f(a) - c0
+            g = (g + coef) * pts % p
+        has_root = np.zeros(p, dtype=bool)
+        has_root[-g % p] = True
+        for c0 in np.flatnonzero(~has_root):
+            digits[0] = c0
+            if _is_irreducible(digits, p):
+                return FieldCtx(p, k, digits)
+    raise FieldError(f"no irreducible of degree {k} found")  # pragma: no cover
 
 
 def frobenius(e: FieldElement) -> FieldElement:

@@ -308,9 +308,10 @@ def row_echelon(
         others = np.nonzero(np.any(a[:, c, :] != 0, axis=1))[0]
         others = others[others != r]
         if others.size:
-            sub = np.ascontiguousarray(a[others])
-            kernels.elim_update(sub, np.ascontiguousarray(a[others, c]), a[r], ctx.red, ctx.p)
-            a[others] = sub
+            # a[r] is zero left of column c, so only columns c: change
+            sub = np.ascontiguousarray(a[others, c:])
+            kernels.elim_update(sub, a[others, c], a[r, c:], ctx.red, ctx.p)
+            a[others, c:] = sub
         pivots.append(c)
         r += 1
     return a, pivots

@@ -13,17 +13,23 @@ time from the ``DESIGNFORGE_BACKEND`` environment variable ("numba" or
 with :func:`set_backend`.  ``DESIGNFORGE_THREADS`` caps the numba thread
 pool.
 
-The numpy ``dot_batch``, ``gather_dot`` and ``matmul`` are two float64
-products each (delayed modular reduction over BLAS, as in FFLAS-FFPACK):
+The numpy ``dot_batch``, ``gather_dot``, ``matmul`` and ``elim_update`` are
+built on the (K^2, K) fold matrix, whose row i*K+j is x^(i+j) reduced mod f
+(the unit vector e_(i+j) when i+j < K, else red[i+j-K]); it does the
+convolution and the modulus reduction together (delayed modular reduction
+over BLAS, as in FFLAS-FFPACK).  The first three make two float64 products:
 
 1. One product over the inner index gives every coefficient-pair sum
    P[i, j] = sum_e a[e, i] * b[e, j]: a batched ``matmul`` of (m, K, D) @
    (m, D, K) for the dot kernels, one (R*K, M) @ (M, K*C) GEMM per row block
    for ``matmul``.
-2. One product with the (K^2, K) fold matrix, whose row i*K+j is x^(i+j)
-   reduced mod f (the unit vector e_(i+j) when i+j < K, else red[i+j-K]),
-   does the convolution and the modulus reduction together; mod p is taken
-   once at the end.
+2. One product with the fold matrix; mod p is taken once at the end.
+
+``elim_update`` multiplies every row by the same pivot, and multiplying by a
+fixed pivot entry is a linear map on coefficient vectors: its (K, K) matrix,
+row i the coefficients of x^i * pivot[c] mod f, is the pivot contracted with
+the fold matrix viewed as (K, K, K).  The update of all rows is then one
+(rows, K) @ (K, cols*K) GEMM of the factors with these matrices.
 
 Float64 holds every integer below 2^53, and all operands are residues in
 [0, p), so a sum of t products of residues is exact when t*(p-1)^2 < 2^53.
@@ -31,9 +37,11 @@ The kernels enforce this and raise OverflowError rather than round:
 
 - product step: inner length * (p-1)^2 < 2^53; a longer inner dimension is
   split into blocks with a reduction mod p after each;
-- fold: K^2 * (p-1)^2 < 2^53; P is reduced mod p before the fold;
-- modulus reduction of a convolution (``mul_batch``, ``elim_update``):
-  (K-1) * (p-1)^2 < 2^53; ``fflinalg.frobenius_array``: K * (p-1)^2 < 2^53.
+- fold: K^2 * (p-1)^2 < 2^53; P is reduced mod p before the fold.  The same
+  check covers ``elim_update``, whose two products (pivot with fold, then
+  factors with the reduced pivot matrices) each sum K products of residues;
+- modulus reduction of a convolution (``mul_batch``): (K-1) * (p-1)^2 <
+  2^53; ``fflinalg.frobenius_array``: K * (p-1)^2 < 2^53.
 
 The supported fields (p < 2^16, K <= 64) meet every bound except the
 product step over inner dimensions beyond about 2^21, which is blocked.
@@ -391,12 +399,16 @@ def _np_matmul(a, b, red, p):
 
 def _np_elim_update(rows, factors, pivot, red, p):
     nr, nc, k = rows.shape
-    conv = np.zeros((nr, nc, 2 * k - 1), dtype=np.int64)
-    for i in range(k):
-        conv[:, :, i : i + k] += factors[:, None, i : i + 1] * pivot[None, :, :]
-    flat = _np_reduce(conv.reshape(nr * nc, 2 * k - 1), red, p)
-    rows -= flat.reshape(nr, nc, k)
-    rows %= p
+    fold = _fold_matrix(red, p).reshape(k, k, k)
+    # mult[i, c, t]: coefficient t of x^i * pivot[c] mod f, so the update of
+    # row r is factors[r] @ mult; both products sum K products of residues
+    mult = _mod_exact(np.einsum("cj,ijt->ict", pivot.astype(np.float64), fold), p)
+    prod = factors.astype(np.float64) @ mult.reshape(k, nc * k)
+    rows -= prod.astype(np.int64).reshape(nr, nc, k)
+    del prod
+    # rows % p by floor division: numpy's integer remainder branches on each
+    # entry's sign and zeroness, which are mixed here, and ran 3x slower
+    rows -= rows // p * p
 
 
 # ---------------------------------------------------------------------------

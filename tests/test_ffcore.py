@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from designforge import ffcore
 from designforge.ffcore import (
     MAX_DEGREE,
     ContextMismatch,
@@ -212,6 +213,38 @@ def test_factorize_known_and_random():
             assert all(prime % d for d in range(2, int(prime**0.5) + 1))
             prod *= prime**exp
         assert prod == n
+
+
+def _first_irreducible_plain(p, k):
+    # the ascending enumeration, every candidate through the irreducibility test
+    for n in range(p**k):
+        digits = [(n // p**i) % p for i in range(k)] + [1]
+        f = np.array(digits, dtype=np.int64)
+        if ffcore._is_irreducible(f, p):
+            return f.tolist()
+    raise AssertionError("no irreducible found")
+
+
+@pytest.mark.parametrize("p", [2, 5, 11, 17])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_root_sieve_keeps_the_enumeration_order(p, k):
+    # p = 2 mod 3, where every x^3 + c has a root and the sieve skips a whole run
+    assert build_field(p, k).modulus.tolist() == _first_irreducible_plain(p, k)
+
+
+def test_cubic_extension_of_a_prime_two_mod_three():
+    p = 65519
+    assert p % 3 == 2
+    a = np.arange(p, dtype=np.int64)
+    # cubing permutes F_p, so every x^3 + c0 has a root; x^3 + x has the root 0
+    assert np.unique(a**3 % p).size == p
+    # x^3 + x + 1 has no root, so it is irreducible and comes first
+    assert np.all((a**3 + a + 1) % p != 0)
+    ctx = build_field(p, 3)
+    assert ctx.modulus.tolist() == [1, 1, 0, 1]
+    x = ctx.element([0, 1, 0])
+    assert x**3 == -(x + ctx.one())
+    assert x ** (p**3 - 1) == ctx.one()
 
 
 def test_element_immutability_and_hash():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from designforge import kernels
-from designforge.ffcore import FieldElement, build_field
+from designforge.ffcore import MAX_DEGREE, FieldElement, build_field
 
 CASES = [(3, 2), (7, 3), (13, 1), (65521, 2)]
 
@@ -263,3 +263,66 @@ def test_out_of_window_prime_raises(keep_backend):
         kernels.dot_batch(a[None], a[None], red, p)
     with pytest.raises(OverflowError):
         kernels.matmul(a[None], a[:, None], red, p)
+
+
+@pytest.mark.parametrize("p,k", BENCH_FIELDS)
+def test_elim_update_at_rank_shapes(p, k, keep_backend):
+    # a spanning rank of d = 57 vectors: 57 columns, a few hundred rows, some
+    # rows with a zero factor, and factors read through a strided column view
+    ctx = build_field(p, k)
+    rng = np.random.default_rng(7 * p + k)
+    nr, nc = 300, 57
+    rows = _rand_elems(rng, ctx, (nr, nc))
+    store = _rand_elems(rng, ctx, (nr, 4))
+    store[::7, 2] = 0
+    factors = store[:, 2]
+    assert not factors.flags.c_contiguous
+    pivot = _rand_elems(rng, ctx, (nc,))
+    left = np.repeat(factors, nc, axis=0)
+    right = np.tile(pivot, (nr, 1))
+    prods = kernels.mul_batch(left, right, ctx.red, ctx.p).reshape(nr, nc, k)
+    want = (rows - prods) % ctx.p
+    for name in kernels.available_backends():
+        kernels.set_backend(name)
+        work = rows.copy()
+        kernels.elim_update(work, factors, pivot, ctx.red, ctx.p)
+        assert np.array_equal(work, want), name
+        assert np.array_equal(work[::7], rows[::7]), name
+        for r, c in ((1, 0), (150, 28), (nr - 1, nc - 1)):
+            f = _as_elem(ctx, factors[r])
+            entry = _as_elem(ctx, rows[r, c]) - f * _as_elem(ctx, pivot[c])
+            assert np.array_equal(work[r, c], entry.coeffs), (name, r, c)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_kernels_at_max_degree(p, keep_backend):
+    # K = MAX_DEGREE: the fold matrix is (4096, 64) and the convolutions 127 long
+    ctx = build_field(p, MAX_DEGREE)
+    rng = np.random.default_rng(p)
+    a = _rand_elems(rng, ctx, (4,))
+    b = _rand_elems(rng, ctx, (4,))
+    x = _rand_elems(rng, ctx, (3, 3))
+    y = _rand_elems(rng, ctx, (3, 3))
+    ki = np.array([0, 2, 1, 2])
+    kj = np.array([1, 2, 0, 0])
+    m1 = _rand_elems(rng, ctx, (2, 3))
+    m2 = _rand_elems(rng, ctx, (3, 2))
+    rows = _rand_elems(rng, ctx, (2, 3))
+    want_mul = [(_as_elem(ctx, a[i]) * _as_elem(ctx, b[i])).coeffs for i in range(4)]
+    want_dot = [_dot_oracle(ctx, x[r], y[r]) for r in range(3)]
+    want_gather = [_dot_oracle(ctx, x[i], y[j]) for i, j in zip(ki, kj)]
+    want_mm = [[_dot_oracle(ctx, m1[r], m2[:, c]) for c in range(2)] for r in range(2)]
+    want_elim = [
+        [(_as_elem(ctx, rows[r, c]) - _as_elem(ctx, a[r]) * _as_elem(ctx, b[c])).coeffs
+         for c in range(3)]
+        for r in range(2)
+    ]
+    for name in kernels.available_backends():
+        kernels.set_backend(name)
+        assert np.array_equal(kernels.mul_batch(a, b, ctx.red, ctx.p), want_mul), name
+        assert np.array_equal(kernels.dot_batch(x, y, ctx.red, ctx.p), want_dot), name
+        assert np.array_equal(kernels.gather_dot(x, y, ki, kj, ctx.red, ctx.p), want_gather), name
+        assert np.array_equal(kernels.matmul(m1, m2, ctx.red, ctx.p), want_mm), name
+        work = rows.copy()
+        kernels.elim_update(work, a[:2], b[:3], ctx.red, ctx.p)
+        assert np.array_equal(work, want_elim), name
