@@ -2,15 +2,13 @@
 
 Exit codes are fixed for scripting: 0 success, 1 claim/witness failure,
 2 parse or usage failure, 3 computational budget exceeded.  Engine imports
-happen inside the handlers so that --threads (or DESIGNFORGE_THREADS) can
-take effect before any kernel warms up.
+happen inside the handlers, so a command loads only the modules it uses.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 import time
 from typing import List, Optional
@@ -466,12 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct, verify, and export projective 2-designs "
         "over finite fields, the complex numbers, and the quaternions.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads for the compiled kernels (default: DESIGNFORGE_THREADS or all cores)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a catalog design and write it to a file")
@@ -524,8 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        os.environ["DESIGNFORGE_THREADS"] = str(args.threads)
     try:
         return args.fn(args)
     except UsageError as exc:

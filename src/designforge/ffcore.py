@@ -555,8 +555,13 @@ def build_field(p: int, k: int) -> FieldCtx:
     # constant term c0.  f = g + c0 has a root in F_p exactly when c0 is some
     # -g(a), so one vectorized pass over F_p rules those out before the
     # irreducibility test (for p = 2 mod 3 every x^3 + c0 has a root).
+    # The first run is the binomials x^k + c0.  Some x^k - a is irreducible
+    # only if every prime factor of k divides p - 1 and p = 1 mod 4 when
+    # 4 | k (Lidl-Niederreiter, Thm 3.75); otherwise that run is skipped.
+    binomials = all((p - 1) % r == 0 for r in _prime_factors_of_degree(k))
+    binomials = binomials and (k % 4 != 0 or p % 4 == 1)
     pts = np.arange(p, dtype=np.int64)
-    for upper in range(p ** (k - 1)):
+    for upper in range(0 if binomials else 1, p ** (k - 1)):
         digits = np.zeros(k + 1, dtype=np.int64)
         n = upper
         for i in range(1, k):

@@ -6,14 +6,11 @@ schoolbook convolutions followed by reduction with a precomputed matrix
 ``red`` of shape (K-1, K) whose row j holds the coefficients of
 x^(K+j) mod f, where f is the (monic) field modulus of degree K.
 
-Every kernel exists twice: a numba ``@njit`` version and a pure-numpy
-version with identical semantics.  The active backend is chosen at import
-time from the ``DESIGNFORGE_BACKEND`` environment variable ("numba" or
-"numpy"; default is numba when importable) and can be switched at runtime
-with :func:`set_backend`.  ``DESIGNFORGE_THREADS`` caps the numba thread
-pool.
+Each kernel has one implementation in numpy: integer arithmetic for
+``mul_batch``, float64 products handed to BLAS for the other four, with the
+exactness bounds below checked in code.
 
-The numpy ``dot_batch``, ``gather_dot``, ``matmul`` and ``elim_update`` are
+``dot_batch``, ``gather_dot``, ``matmul`` and ``elim_update`` are
 built on the (K^2, K) fold matrix, whose row i*K+j is x^(i+j) reduced mod f
 (the unit vector e_(i+j) when i+j < K, else red[i+j-K]); it does the
 convolution and the modulus reduction together (delayed modular reduction
@@ -51,222 +48,8 @@ Integer kernels keep every intermediate well inside int64.
 from __future__ import annotations
 
 import functools
-import os
 
 import numpy as np
-
-try:
-    import numba
-    from numba import njit, prange
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-    prange = range  # type: ignore[assignment]
-
-
-def _configure_threads() -> None:
-    if not HAS_NUMBA:
-        return
-    requested = os.environ.get("DESIGNFORGE_THREADS")
-    if not requested:
-        return
-    try:
-        n = max(1, int(requested))
-    except ValueError:
-        return
-    try:
-        numba.set_num_threads(min(n, numba.config.NUMBA_NUM_THREADS))
-    except ValueError:
-        pass
-
-
-_configure_threads()
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _nb_mul_batch(a, b, red, p):
-    n, k = a.shape
-    out = np.zeros((n, k), dtype=np.int64)
-    tmp = np.zeros(2 * k - 1, dtype=np.int64)
-    for r in range(n):
-        for t in range(2 * k - 1):
-            tmp[t] = 0
-        for i in range(k):
-            ai = a[r, i]
-            if ai != 0:
-                for j in range(k):
-                    tmp[i + j] += ai * b[r, j]
-        for t in range(2 * k - 1):
-            tmp[t] %= p
-        for t in range(k):
-            out[r, t] = tmp[t]
-        for j in range(k - 1):
-            c = tmp[k + j]
-            if c != 0:
-                for t in range(k):
-                    out[r, t] += c * red[j, t]
-        for t in range(k):
-            out[r, t] %= p
-    return out
-
-
-@njit(cache=True, parallel=True)
-def _nb_dot_batch(x, y, red, p):
-    n, d, k = x.shape
-    out = np.zeros((n, k), dtype=np.int64)
-    for r in prange(n):
-        tmp = np.zeros(2 * k - 1, dtype=np.int64)
-        for e in range(d):
-            for i in range(k):
-                xi = x[r, e, i]
-                if xi != 0:
-                    for j in range(k):
-                        tmp[i + j] += xi * y[r, e, j]
-            # keep partial sums far away from int64 overflow
-            if (e & 63) == 63:
-                for t in range(2 * k - 1):
-                    tmp[t] %= p
-        for t in range(2 * k - 1):
-            tmp[t] %= p
-        for t in range(k):
-            out[r, t] = tmp[t]
-        for j in range(k - 1):
-            c = tmp[k + j]
-            if c != 0:
-                for t in range(k):
-                    out[r, t] += c * red[j, t]
-        for t in range(k):
-            out[r, t] %= p
-    return out
-
-
-@njit(cache=True, parallel=True)
-def _nb_gather_dot(x, y, ki, kj, red, p):
-    m = ki.shape[0]
-    d = x.shape[1]
-    k = x.shape[2]
-    out = np.zeros((m, k), dtype=np.int64)
-    for r in prange(m):
-        a = ki[r]
-        b = kj[r]
-        tmp = np.zeros(2 * k - 1, dtype=np.int64)
-        for e in range(d):
-            for i in range(k):
-                xi = x[a, e, i]
-                if xi != 0:
-                    for j in range(k):
-                        tmp[i + j] += xi * y[b, e, j]
-            if (e & 63) == 63:
-                for t in range(2 * k - 1):
-                    tmp[t] %= p
-        for t in range(2 * k - 1):
-            tmp[t] %= p
-        for t in range(k):
-            out[r, t] = tmp[t]
-        for j in range(k - 1):
-            c = tmp[k + j]
-            if c != 0:
-                for t in range(k):
-                    out[r, t] += c * red[j, t]
-        for t in range(k):
-            out[r, t] %= p
-    return out
-
-
-@njit(cache=True, parallel=True)
-def _nb_matmul(a, b, red, p):
-    rows, mid, k = a.shape
-    cols = b.shape[1]
-    out = np.zeros((rows, cols, k), dtype=np.int64)
-    for r in prange(rows):
-        tmp = np.zeros(2 * k - 1, dtype=np.int64)
-        for c in range(cols):
-            for t in range(2 * k - 1):
-                tmp[t] = 0
-            for e in range(mid):
-                nz = False
-                for i in range(k):
-                    if a[r, e, i] != 0:
-                        nz = True
-                        break
-                if not nz:
-                    continue
-                for i in range(k):
-                    ai = a[r, e, i]
-                    if ai != 0:
-                        for j in range(k):
-                            tmp[i + j] += ai * b[e, c, j]
-                if (e & 63) == 63:
-                    for t in range(2 * k - 1):
-                        tmp[t] %= p
-            for t in range(2 * k - 1):
-                tmp[t] %= p
-            for t in range(k):
-                out[r, c, t] = tmp[t]
-            for j in range(k - 1):
-                cc = tmp[k + j]
-                if cc != 0:
-                    for t in range(k):
-                        out[r, c, t] += cc * red[j, t]
-            for t in range(k):
-                out[r, c, t] %= p
-    return out
-
-
-@njit(cache=True, parallel=True)
-def _nb_elim_update(rows, factors, pivot, red, p):
-    nr, nc, k = rows.shape
-    tmp_all = np.zeros((nr, 2 * k - 1), dtype=np.int64)
-    for r in prange(nr):
-        nz = False
-        for i in range(k):
-            if factors[r, i] != 0:
-                nz = True
-                break
-        if not nz:
-            continue
-        tmp = tmp_all[r]
-        for c in range(nc):
-            for t in range(2 * k - 1):
-                tmp[t] = 0
-            for i in range(k):
-                fi = factors[r, i]
-                if fi != 0:
-                    for j in range(k):
-                        tmp[i + j] += fi * pivot[c, j]
-            for t in range(2 * k - 1):
-                tmp[t] %= p
-            acc = np.zeros(k, dtype=np.int64)
-            for t in range(k):
-                acc[t] = tmp[t]
-            for j in range(k - 1):
-                cc = tmp[k + j]
-                if cc != 0:
-                    for t in range(k):
-                        acc[t] += cc * red[j, t]
-            for t in range(k):
-                v = (rows[r, c, t] - acc[t]) % p
-                rows[r, c, t] = v
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
 
 _EXACT = 1 << 53  # float64 holds every integer below this exactly
 _GATHER_CHUNK = 1 << 16  # float elements per gathered operand chunk (cache-sized)
@@ -334,7 +117,7 @@ def _pair_dots(xt, yf, fold, p):
     return out
 
 
-def _np_reduce(conv, red, p):
+def _reduce(conv, red, p):
     """Reduce convolution coefficients (N, 2K-1) to (N, K) mod the modulus.
 
     conv is reduced mod p in place; callers pass a temporary they discard.
@@ -350,20 +133,38 @@ def _np_reduce(conv, red, p):
     return out
 
 
-def _np_mul_batch(a, b, red, p):
+def backend() -> str:
+    """Name of the kernel implementation, recorded in benchmark results."""
+    return "numpy"
+
+
+def _as_i64(a):
+    return np.ascontiguousarray(a, dtype=np.int64)
+
+
+def mul_batch(a, b, red, p):
+    """Entrywise products of two batches of field elements: (N,K)x(N,K)->(N,K)."""
+    a, b, red = _as_i64(a), _as_i64(b), _as_i64(red)
     n, k = a.shape
     conv = np.zeros((n, 2 * k - 1), dtype=np.int64)
     for i in range(k):
         conv[:, i : i + k] += a[:, i : i + 1] * b
-    return _np_reduce(conv, red, p)
+    return _reduce(conv, red, p)
 
 
-def _np_dot_batch(x, y, red, p):
+def dot_batch(x, y, red, p):
+    """Row-wise dot products sum_e x[n,e]*y[n,e]: (N,D,K)x(N,D,K)->(N,K).
+
+    No conjugation is applied; callers pass pre-conjugated operands.
+    """
+    x, y, red = _as_i64(x), _as_i64(y), _as_i64(red)
     xt = np.ascontiguousarray(x.transpose(0, 2, 1), dtype=np.float64)
     return _pair_dots(xt, y.astype(np.float64), _fold_matrix(red, p), p)
 
 
-def _np_gather_dot(x, y, ki, kj, red, p):
+def gather_dot(x, y, ki, kj, red, p):
+    """dot_batch on gathered row pairs (x[ki[b]], y[kj[b]])."""
+    x, y, ki, kj, red = _as_i64(x), _as_i64(y), _as_i64(ki), _as_i64(kj), _as_i64(red)
     # convert once; gather float rows in chunks to keep peak memory flat
     fold = _fold_matrix(red, p)
     m = ki.shape[0]
@@ -378,7 +179,9 @@ def _np_gather_dot(x, y, ki, kj, red, p):
     return out
 
 
-def _np_matmul(a, b, red, p):
+def matmul(a, b, red, p):
+    """Field matrix product: (R,M,K) @ (M,C,K) -> (R,C,K)."""
+    a, b, red = _as_i64(a), _as_i64(b), _as_i64(red)
     rows, mid, k = a.shape
     cols = b.shape[1]
     fold_t = _fold_matrix(red, p).T
@@ -397,7 +200,11 @@ def _np_matmul(a, b, red, p):
     return out
 
 
-def _np_elim_update(rows, factors, pivot, red, p):
+def elim_update(rows, factors, pivot, red, p):
+    """In-place rows[r,c] -= factors[r]*pivot[c]; the Gaussian row update."""
+    if rows.dtype != np.int64 or not rows.flags.c_contiguous:
+        raise ValueError("elim_update requires a C-contiguous int64 array")
+    factors, pivot, red = _as_i64(factors), _as_i64(pivot), _as_i64(red)
     nr, nc, k = rows.shape
     fold = _fold_matrix(red, p).reshape(k, k, k)
     # mult[i, c, t]: coefficient t of x^i * pivot[c] mod f, so the update of
@@ -409,102 +216,3 @@ def _np_elim_update(rows, factors, pivot, red, p):
     # rows % p by floor division: numpy's integer remainder branches on each
     # entry's sign and zeroness, which are mixed here, and ran 3x slower
     rows -= rows // p * p
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-_BACKENDS = {
-    "numpy": {
-        "mul_batch": _np_mul_batch,
-        "dot_batch": _np_dot_batch,
-        "gather_dot": _np_gather_dot,
-        "matmul": _np_matmul,
-        "elim_update": _np_elim_update,
-    },
-}
-
-if HAS_NUMBA:
-    _BACKENDS["numba"] = {
-        "mul_batch": _nb_mul_batch,
-        "dot_batch": _nb_dot_batch,
-        "gather_dot": _nb_gather_dot,
-        "matmul": _nb_matmul,
-        "elim_update": _nb_elim_update,
-    }
-
-
-def _default_backend() -> str:
-    choice = os.environ.get("DESIGNFORGE_BACKEND", "").strip().lower()
-    if choice in _BACKENDS:
-        return choice
-    if choice and choice not in _BACKENDS:
-        raise ValueError(
-            f"DESIGNFORGE_BACKEND={choice!r} not available; "
-            f"choose one of {sorted(_BACKENDS)}"
-        )
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-_ACTIVE = _default_backend()
-
-
-def backend() -> str:
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    return _ACTIVE
-
-
-def available_backends() -> list:
-    return sorted(_BACKENDS)
-
-
-def set_backend(name: str) -> None:
-    """Switch kernel backend at runtime (used by the benchmark and tests)."""
-    global _ACTIVE
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; have {sorted(_BACKENDS)}")
-    _ACTIVE = name
-
-
-def _as_i64(a):
-    return np.ascontiguousarray(a, dtype=np.int64)
-
-
-def mul_batch(a, b, red, p):
-    """Entrywise products of two batches of field elements: (N,K)x(N,K)->(N,K)."""
-    return _BACKENDS[_ACTIVE]["mul_batch"](_as_i64(a), _as_i64(b), _as_i64(red), p)
-
-
-def dot_batch(x, y, red, p):
-    """Row-wise dot products sum_e x[n,e]*y[n,e]: (N,D,K)x(N,D,K)->(N,K).
-
-    No conjugation is applied; callers pass pre-conjugated operands.
-    """
-    return _BACKENDS[_ACTIVE]["dot_batch"](_as_i64(x), _as_i64(y), _as_i64(red), p)
-
-
-def gather_dot(x, y, ki, kj, red, p):
-    """dot_batch on gathered row pairs (x[ki[b]], y[kj[b]]) without copies."""
-    return _BACKENDS[_ACTIVE]["gather_dot"](
-        _as_i64(x),
-        _as_i64(y),
-        np.ascontiguousarray(ki, dtype=np.int64),
-        np.ascontiguousarray(kj, dtype=np.int64),
-        _as_i64(red),
-        p,
-    )
-
-
-def matmul(a, b, red, p):
-    """Field matrix product: (R,M,K) @ (M,C,K) -> (R,C,K)."""
-    return _BACKENDS[_ACTIVE]["matmul"](_as_i64(a), _as_i64(b), _as_i64(red), p)
-
-
-def elim_update(rows, factors, pivot, red, p):
-    """In-place rows[r,c] -= factors[r]*pivot[c]; the Gaussian row update."""
-    if rows.dtype != np.int64 or not rows.flags.c_contiguous:
-        raise ValueError("elim_update requires a C-contiguous int64 array")
-    _BACKENDS[_ACTIVE]["elim_update"](
-        rows, _as_i64(factors), _as_i64(pivot), _as_i64(red), p
-    )

@@ -5,23 +5,9 @@ import importlib.resources as resources
 import numpy as np
 import pytest
 
-from designforge import kernels
 from designforge.ffcore import build_field
 from designforge.ffdesigns import FFEnsemble, harmonic_etf, singer_difference_set
 from designforge.io import load_design
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # One tiny call through every kernel so JIT compilation (first run on a
-    # fresh machine) never lands inside a timed block.
-    ctx = build_field(3, 2)
-    a = np.array([[1, 2]], dtype=np.int64)
-    kernels.mul_batch(a, a, ctx.red, ctx.p)
-    kernels.dot_batch(a[None], a[None], ctx.red, ctx.p)
-    kernels.gather_dot(a[None], a[None], np.array([0]), np.array([0]), ctx.red, ctx.p)
-    kernels.matmul(a[None], a[None], ctx.red, ctx.p)
-    kernels.elim_update(a[None], a, a[0][None], ctx.red, ctx.p)
 
 
 def fixture_path(name: str) -> str:

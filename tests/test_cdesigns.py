@@ -115,6 +115,7 @@ def test_mub_designs(d):
     ens = mub_ensemble(d)
     assert (ens.n, ens.d) == (d * (d + 1), d)
     assert check_weighted_2design(ens) < TOL
+    assert frame_potential(ens, 2) == pytest.approx(potential_bound(d, 2), abs=TOL)
     # any two vectors from different bases are unbiased
     g2 = np.abs(gram(ens)) ** 2
     for i in range(ens.n):
@@ -171,7 +172,7 @@ def test_depolarizing_channel():
 
 
 def test_choi_of_transposed_depolarizing():
-    for d in (2, 3):
+    for d in range(2, 9):
         got = choi(transpose_compose(depolarizing_channel(d)))
         want = (2 / (d + 1)) * symmetric_projector(d)
         assert np.max(np.abs(got - want)) < TOL
@@ -200,6 +201,15 @@ def test_choi_from_apply_matches_choi_from_kraus():
         by_kraus = choi_from_kraus(kraus, d)
         ch = Channel(d, d, apply_fn=Channel(d, d, kraus=kraus).apply)
         assert np.max(np.abs(ch.choi() - by_kraus)) < 1e-12
+    # probe identity (w (x) x)^T C (y (x) z) = x^T Phi(w y^T) z on a random channel
+    d = 4
+    kraus = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3)]
+    ch = Channel(d, d, kraus=kraus)
+    c = ch.choi()
+    for _ in range(20):
+        w, x, y, z = (rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(4))
+        lhs = np.kron(w, x) @ c @ np.kron(y, z)
+        assert abs(lhs - x @ ch.apply(np.outer(w, y)) @ z) < 1e-10
 
 
 def test_kraus_from_choi_round_trip():
@@ -214,6 +224,11 @@ def test_kraus_from_choi_round_trip():
     assert np.max(np.abs(np.stack(recovered) - np.stack(kraus))) < 1e-12
     with pytest.raises(ChoiMismatch):
         kraus_from_choi(ch, pairs[:-1])
+    # the design's terms, scaled to sqrt(2w) conj(x) x^T, give the depolarizing channel
+    dep = depolarizing_channel(2)
+    terms = [((2 * w) ** 0.25 * x.conj(), (2 * w) ** 0.25 * x) for x, w in zip(sic.vectors, sic.weights)]
+    recovered = kraus_from_choi(dep, terms)
+    assert np.max(np.abs(choi_from_kraus(recovered, 2) - dep.choi())) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +242,8 @@ def test_design_to_kraus_certificates():
         (sic_catalog(3), 9),
         (mub_ensemble(2), 6),
         (mub_ensemble(3), 12),
+        (mub_ensemble(5), 30),
+        (mub_ensemble(7), 56),
     ]:
         kraus, cert = design_to_kraus(ens)
         assert len(kraus) == ens.n
@@ -238,6 +255,8 @@ def test_design_to_kraus_certificates():
         for r in kraus:
             s = np.linalg.svd(r, compute_uv=False)
             assert s[1] < 1e-12
+            assert np.max(np.abs(r - r.conj().T)) < TOL
+            assert np.linalg.eigvalsh(r)[0] > -TOL
 
 
 def test_design_to_kraus_rejects_non_design():
@@ -248,7 +267,10 @@ def test_design_to_kraus_rejects_non_design():
         design_to_kraus(CEnsemble(v))
 
 
-@pytest.mark.parametrize("maker", [lambda: sic_catalog(2), lambda: sic_catalog(3), lambda: mub_ensemble(3)])
+@pytest.mark.parametrize(
+    "maker",
+    [lambda: sic_catalog(2), lambda: sic_catalog(3), lambda: mub_ensemble(3), lambda: mub_ensemble(5)],
+)
 def test_round_trip_recovers_design(maker):
     ens = maker()
     kraus, _ = design_to_kraus(ens)

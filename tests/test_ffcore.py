@@ -247,6 +247,29 @@ def test_cubic_extension_of_a_prime_two_mod_three():
     assert x ** (p**3 - 1) == ctx.one()
 
 
+@pytest.mark.parametrize("p,k", [(7, 4), (5, 6), (3, 4), (2, 5), (11, 6)])
+def test_skipped_binomials_are_reducible(p, k):
+    # 4 | k with p = 3 mod 4, or a prime factor of k that misses p - 1: no
+    # x^k + c is irreducible (Lidl-Niederreiter, Thm 3.75), so build_field
+    # starts past them and still returns the first irreducible in order
+    for c in range(p):
+        f = np.array([c] + [0] * (k - 1) + [1], dtype=np.int64)
+        assert not ffcore._is_irreducible(f, p), c
+    assert build_field(p, k).modulus.tolist() == _first_irreducible_plain(p, k)
+
+
+def test_quartic_extension_of_a_prime_three_mod_four():
+    p = 65519
+    assert p % 4 == 3
+    # the binomials are skipped; x^4 + x + c is reducible for every c < 13
+    for c in range(13):
+        assert not ffcore._is_irreducible(np.array([c, 1, 0, 0, 1]), p), c
+    ctx = build_field(p, 4)
+    assert ctx.modulus.tolist() == [13, 1, 0, 0, 1]
+    x = ctx.element([0, 1, 0, 0])
+    assert x ** (p**4 - 1) == ctx.one()
+
+
 def test_element_immutability_and_hash():
     ctx = build_field(3, 2)
     e = ctx.element([1, 2])

@@ -533,19 +533,3 @@ def test_cli_export_csv_floats_round_trip(tmp_path, capsys):
         flat = np.array([float(x) for x in parts[2:]])
         vec = flat[0::2] + 1j * flat[1::2]
         assert np.array_equal(vec, ens.vectors[idx])
-
-
-def test_cli_threads_flag_sets_env(tmp_path, capsys):
-    before = os.environ.get("DESIGNFORGE_THREADS")
-    try:
-        code, _ = _run(
-            capsys,
-            ["--threads", "3", "search", "--p-max", "1", "--k-max", "1", "--r-max", "1"],
-        )
-        assert code == 0
-        assert os.environ["DESIGNFORGE_THREADS"] == "3"
-    finally:
-        if before is None:
-            os.environ.pop("DESIGNFORGE_THREADS", None)
-        else:
-            os.environ["DESIGNFORGE_THREADS"] = before

@@ -1,4 +1,4 @@
-"""Cross-checks both kernel backends against scalar element arithmetic."""
+"""Cross-checks every kernel against scalar element arithmetic."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,6 @@ from designforge.ffcore import MAX_DEGREE, FieldElement, build_field
 CASES = [(3, 2), (7, 3), (13, 1), (65521, 2)]
 
 
-@pytest.fixture
-def keep_backend():
-    saved = kernels.backend()
-    yield
-    kernels.set_backend(saved)
-
-
 def _rand_elems(rng, ctx, shape):
     return rng.integers(0, ctx.p, size=shape + (ctx.deg,)).astype(np.int64)
 
@@ -24,19 +17,8 @@ def _as_elem(ctx, coeffs):
     return FieldElement(ctx, coeffs)
 
 
-def test_backend_registry(keep_backend):
-    avail = kernels.available_backends()
-    assert "numpy" in avail
-    assert kernels.backend() in avail
-    for name in avail:
-        kernels.set_backend(name)
-        assert kernels.backend() == name
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
-
-
 @pytest.mark.parametrize("p,k", CASES)
-def test_mul_and_dot_match_scalar_oracle(p, k, keep_backend):
+def test_mul_and_dot_match_scalar_oracle(p, k):
     ctx = build_field(p, k)
     rng = np.random.default_rng(p + k)
     a = _rand_elems(rng, ctx, (40,))
@@ -53,14 +35,12 @@ def test_mul_and_dot_match_scalar_oracle(p, k, keep_backend):
             acc = acc + _as_elem(ctx, x[r, i]) * _as_elem(ctx, y[r, i])
         want_dot.append(acc.coeffs)
     want_dot = np.stack(want_dot)
-    for name in kernels.available_backends():
-        kernels.set_backend(name)
-        assert np.array_equal(kernels.mul_batch(a, b, ctx.red, ctx.p), want_mul), name
-        assert np.array_equal(kernels.dot_batch(x, y, ctx.red, ctx.p), want_dot), name
+    assert np.array_equal(kernels.mul_batch(a, b, ctx.red, ctx.p), want_mul)
+    assert np.array_equal(kernels.dot_batch(x, y, ctx.red, ctx.p), want_dot)
 
 
 @pytest.mark.parametrize("p,k", CASES)
-def test_gather_dot_matches_pairwise_oracle(p, k, keep_backend):
+def test_gather_dot_matches_pairwise_oracle(p, k):
     ctx = build_field(p, k)
     rng = np.random.default_rng(2 * p + k)
     n, d = 7, 4
@@ -74,14 +54,12 @@ def test_gather_dot_matches_pairwise_oracle(p, k, keep_backend):
             acc = acc + _as_elem(ctx, x[i, t]) * _as_elem(ctx, x[j, t])
         want.append(acc.coeffs)
     want = np.stack(want)
-    for name in kernels.available_backends():
-        kernels.set_backend(name)
-        got = kernels.gather_dot(x, x, ki, kj, ctx.red, ctx.p)
-        assert np.array_equal(got, want), name
+    got = kernels.gather_dot(x, x, ki, kj, ctx.red, ctx.p)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("p,k", CASES)
-def test_matmul_matches_entrywise_oracle(p, k, keep_backend):
+def test_matmul_matches_entrywise_oracle(p, k):
     ctx = build_field(p, k)
     rng = np.random.default_rng(3 * p + k)
     a = _rand_elems(rng, ctx, (4, 3))
@@ -93,13 +71,11 @@ def test_matmul_matches_entrywise_oracle(p, k, keep_backend):
             for t in range(3):
                 acc = acc + _as_elem(ctx, a[i, t]) * _as_elem(ctx, b[t, j])
             want[i, j] = acc.coeffs
-    for name in kernels.available_backends():
-        kernels.set_backend(name)
-        assert np.array_equal(kernels.matmul(a, b, ctx.red, ctx.p), want), name
+    assert np.array_equal(kernels.matmul(a, b, ctx.red, ctx.p), want)
 
 
 @pytest.mark.parametrize("p,k", CASES)
-def test_elim_update_matches_row_oracle(p, k, keep_backend):
+def test_elim_update_matches_row_oracle(p, k):
     # rows[r] -= factors[r] * pivot, the inner loop of Gaussian elimination
     ctx = build_field(p, k)
     rng = np.random.default_rng(4 * p + k)
@@ -111,38 +87,23 @@ def test_elim_update_matches_row_oracle(p, k, keep_backend):
         f = _as_elem(ctx, factors[r])
         for c in range(6):
             want[r, c] = (_as_elem(ctx, rows[r, c]) - f * _as_elem(ctx, pivot[c])).coeffs
-    for name in kernels.available_backends():
-        kernels.set_backend(name)
-        work = rows.copy()  # updated in place
-        kernels.elim_update(work, factors, pivot, ctx.red, ctx.p)
-        assert np.array_equal(work, want), name
+    work = rows.copy()  # updated in place
+    kernels.elim_update(work, factors, pivot, ctx.red, ctx.p)
+    assert np.array_equal(work, want)
     with pytest.raises(ValueError):
         kernels.elim_update(rows.astype(np.int32), factors, pivot, ctx.red, ctx.p)
 
 
-def test_backends_agree_on_large_batch(keep_backend):
+def test_mul_batch_matches_scalar_oracle_on_large_batch():
     # big prime: products sit near the top of the exact int64/float window
     ctx = build_field(65521, 3)
     rng = np.random.default_rng(99)
     a = _rand_elems(rng, ctx, (500,))
     b = _rand_elems(rng, ctx, (500,))
-    results = {}
-    for name in kernels.available_backends():
-        kernels.set_backend(name)
-        results[name] = kernels.mul_batch(a, b, ctx.red, ctx.p)
-    ref = results.pop("numpy")
-    assert np.all((ref >= 0) & (ref < ctx.p))
-    for name, got in results.items():
-        assert np.array_equal(got, ref), name
-
-
-def test_thread_cap_env(monkeypatch):
-    # the env knob must never crash kernel dispatch, whatever the pool size
-    monkeypatch.setenv("DESIGNFORGE_THREADS", "1")
-    ctx = build_field(3, 2)
-    a = np.array([[1, 2], [2, 2]], dtype=np.int64)
-    out = kernels.mul_batch(a, a, ctx.red, ctx.p)
-    assert out.shape == (2, 2)
+    want = np.stack(
+        [(_as_elem(ctx, a[i]) * _as_elem(ctx, b[i])).coeffs for i in range(500)]
+    )
+    assert np.array_equal(kernels.mul_batch(a, b, ctx.red, ctx.p), want)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +121,7 @@ def _dot_oracle(ctx, xs, ys):
 
 
 @pytest.mark.parametrize("p,k", BENCH_FIELDS)
-def test_gather_dot_spans_chunks(p, k, keep_backend):
+def test_gather_dot_spans_chunks(p, k):
     ctx = build_field(p, k)
     rng = np.random.default_rng(p * k)
     n, d = 9, 73
@@ -170,15 +131,13 @@ def test_gather_dot_spans_chunks(p, k, keep_backend):
     y = _rand_elems(rng, ctx, (n, d))
     ki = rng.integers(0, n, size=m)
     kj = rng.integers(0, n, size=m)
-    for name in kernels.available_backends():
-        kernels.set_backend(name)
-        got = kernels.gather_dot(x, y, ki, kj, ctx.red, ctx.p)
-        for r in (0, step - 1, step, 2 * step + 1, m - 1):
-            assert np.array_equal(got[r], _dot_oracle(ctx, x[ki[r]], y[kj[r]])), (name, r)
+    got = kernels.gather_dot(x, y, ki, kj, ctx.red, ctx.p)
+    for r in (0, step - 1, step, 2 * step + 1, m - 1):
+        assert np.array_equal(got[r], _dot_oracle(ctx, x[ki[r]], y[kj[r]])), r
 
 
 @pytest.mark.parametrize("p,k", BENCH_FIELDS)
-def test_matmul_spans_row_blocks(p, k, keep_backend):
+def test_matmul_spans_row_blocks(p, k):
     ctx = build_field(p, k)
     rng = np.random.default_rng(p + 3 * k)
     mid, cols = 3, 40
@@ -186,16 +145,14 @@ def test_matmul_spans_row_blocks(p, k, keep_backend):
     rows = 2 * step + 3
     a = _rand_elems(rng, ctx, (rows, mid))
     b = _rand_elems(rng, ctx, (mid, cols))
-    for name in kernels.available_backends():
-        kernels.set_backend(name)
-        got = kernels.matmul(a, b, ctx.red, ctx.p)
-        for r, c in ((0, 0), (step - 1, 7), (step, 39), (2 * step, 1), (rows - 1, 20)):
-            want = _dot_oracle(ctx, a[r], b[:, c])
-            assert np.array_equal(got[r, c], want), (name, r, c)
+    got = kernels.matmul(a, b, ctx.red, ctx.p)
+    for r, c in ((0, 0), (step - 1, 7), (step, 39), (2 * step, 1), (rows - 1, 20)):
+        want = _dot_oracle(ctx, a[r], b[:, c])
+        assert np.array_equal(got[r, c], want), (r, c)
 
 
 @pytest.mark.parametrize("p,k", BENCH_FIELDS)
-def test_kernels_accept_views(p, k, keep_backend):
+def test_kernels_accept_views(p, k):
     # transposed, reversed and broadcast operands are read like their copies
     ctx = build_field(p, k)
     rng = np.random.default_rng(5 * p + k)
@@ -206,16 +163,14 @@ def test_kernels_accept_views(p, k, keep_backend):
     y = np.broadcast_to(row, (4, 6, k))
     ki = np.array([0, 3, 2, 3])
     kj = np.array([1, 1, 0, 3])
-    for name in kernels.available_backends():
-        kernels.set_backend(name)
-        mm = kernels.matmul(a, b, ctx.red, ctx.p)
-        dots = kernels.dot_batch(a, y, ctx.red, ctx.p)
-        gd = kernels.gather_dot(a, y, ki, kj, ctx.red, ctx.p)
-        for r in range(4):
-            for c in range(3):
-                assert np.array_equal(mm[r, c], _dot_oracle(ctx, a[r], b[:, c])), name
-            assert np.array_equal(dots[r], _dot_oracle(ctx, a[r], row)), name
-            assert np.array_equal(gd[r], _dot_oracle(ctx, a[ki[r]], row)), name
+    mm = kernels.matmul(a, b, ctx.red, ctx.p)
+    dots = kernels.dot_batch(a, y, ctx.red, ctx.p)
+    gd = kernels.gather_dot(a, y, ki, kj, ctx.red, ctx.p)
+    for r in range(4):
+        for c in range(3):
+            assert np.array_equal(mm[r, c], _dot_oracle(ctx, a[r], b[:, c]))
+        assert np.array_equal(dots[r], _dot_oracle(ctx, a[r], row))
+        assert np.array_equal(gd[r], _dot_oracle(ctx, a[ki[r]], row))
 
 
 def test_fold_matrix_built_once_per_field():
@@ -231,9 +186,8 @@ def test_fold_matrix_built_once_per_field():
 
 
 @pytest.mark.parametrize("kernel", ["matmul", "dot_batch", "gather_dot"])
-def test_long_inner_dimension_is_exact(kernel, keep_backend):
+def test_long_inner_dimension_is_exact(kernel):
     # (p-2)^2 is odd, so a float sum past 2^53 would round visibly
-    kernels.set_backend("numpy")
     ctx = build_field(65521, 1)
     p = ctx.p
     mid = 2_100_001
@@ -250,9 +204,8 @@ def test_long_inner_dimension_is_exact(kernel, keep_backend):
     assert got.tolist() == [want]
 
 
-def test_out_of_window_prime_raises(keep_backend):
+def test_out_of_window_prime_raises():
     # a prime whose squared residues pass 2^53 is refused, not rounded
-    kernels.set_backend("numpy")
     p = 100_000_007
     assert (p - 1) ** 2 >= 2**53
     red = np.array([[1, 0]], dtype=np.int64)
@@ -266,7 +219,7 @@ def test_out_of_window_prime_raises(keep_backend):
 
 
 @pytest.mark.parametrize("p,k", BENCH_FIELDS)
-def test_elim_update_at_rank_shapes(p, k, keep_backend):
+def test_elim_update_at_rank_shapes(p, k):
     # a spanning rank of d = 57 vectors: 57 columns, a few hundred rows, some
     # rows with a zero factor, and factors read through a strided column view
     ctx = build_field(p, k)
@@ -282,20 +235,18 @@ def test_elim_update_at_rank_shapes(p, k, keep_backend):
     right = np.tile(pivot, (nr, 1))
     prods = kernels.mul_batch(left, right, ctx.red, ctx.p).reshape(nr, nc, k)
     want = (rows - prods) % ctx.p
-    for name in kernels.available_backends():
-        kernels.set_backend(name)
-        work = rows.copy()
-        kernels.elim_update(work, factors, pivot, ctx.red, ctx.p)
-        assert np.array_equal(work, want), name
-        assert np.array_equal(work[::7], rows[::7]), name
-        for r, c in ((1, 0), (150, 28), (nr - 1, nc - 1)):
-            f = _as_elem(ctx, factors[r])
-            entry = _as_elem(ctx, rows[r, c]) - f * _as_elem(ctx, pivot[c])
-            assert np.array_equal(work[r, c], entry.coeffs), (name, r, c)
+    work = rows.copy()
+    kernels.elim_update(work, factors, pivot, ctx.red, ctx.p)
+    assert np.array_equal(work, want)
+    assert np.array_equal(work[::7], rows[::7])
+    for r, c in ((1, 0), (150, 28), (nr - 1, nc - 1)):
+        f = _as_elem(ctx, factors[r])
+        entry = _as_elem(ctx, rows[r, c]) - f * _as_elem(ctx, pivot[c])
+        assert np.array_equal(work[r, c], entry.coeffs), (r, c)
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_kernels_at_max_degree(p, keep_backend):
+def test_kernels_at_max_degree(p):
     # K = MAX_DEGREE: the fold matrix is (4096, 64) and the convolutions 127 long
     ctx = build_field(p, MAX_DEGREE)
     rng = np.random.default_rng(p)
@@ -317,12 +268,10 @@ def test_kernels_at_max_degree(p, keep_backend):
          for c in range(3)]
         for r in range(2)
     ]
-    for name in kernels.available_backends():
-        kernels.set_backend(name)
-        assert np.array_equal(kernels.mul_batch(a, b, ctx.red, ctx.p), want_mul), name
-        assert np.array_equal(kernels.dot_batch(x, y, ctx.red, ctx.p), want_dot), name
-        assert np.array_equal(kernels.gather_dot(x, y, ki, kj, ctx.red, ctx.p), want_gather), name
-        assert np.array_equal(kernels.matmul(m1, m2, ctx.red, ctx.p), want_mm), name
-        work = rows.copy()
-        kernels.elim_update(work, a[:2], b[:3], ctx.red, ctx.p)
-        assert np.array_equal(work, want_elim), name
+    assert np.array_equal(kernels.mul_batch(a, b, ctx.red, ctx.p), want_mul)
+    assert np.array_equal(kernels.dot_batch(x, y, ctx.red, ctx.p), want_dot)
+    assert np.array_equal(kernels.gather_dot(x, y, ki, kj, ctx.red, ctx.p), want_gather)
+    assert np.array_equal(kernels.matmul(m1, m2, ctx.red, ctx.p), want_mm)
+    work = rows.copy()
+    kernels.elim_update(work, a[:2], b[:3], ctx.red, ctx.p)
+    assert np.array_equal(work, want_elim)

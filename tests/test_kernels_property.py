@@ -1,4 +1,4 @@
-"""Property tests: every kernel backend against scalar element arithmetic."""
+"""Property tests: every kernel against scalar element arithmetic."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -36,16 +36,6 @@ sizes = st.integers(1, 5)
 PROPERTY = settings(max_examples=25, deadline=None)
 
 
-def _for_each_backend(check):
-    saved = kernels.backend()
-    try:
-        for name in kernels.available_backends():
-            kernels.set_backend(name)
-            check(name)
-    finally:
-        kernels.set_backend(saved)
-
-
 @PROPERTY
 @given(fields, seeds, sizes)
 def test_mul_batch_property(field, seed, n):
@@ -55,10 +45,7 @@ def test_mul_batch_property(field, seed, n):
     b = _rand_elems(rng, ctx, (n,))
     want = np.stack([(_as_elem(ctx, a[i]) * _as_elem(ctx, b[i])).coeffs for i in range(n)])
 
-    def check(name):
-        assert np.array_equal(kernels.mul_batch(a, b, ctx.red, ctx.p), want), name
-
-    _for_each_backend(check)
+    assert np.array_equal(kernels.mul_batch(a, b, ctx.red, ctx.p), want)
 
 
 @PROPERTY
@@ -70,10 +57,7 @@ def test_dot_batch_property(field, seed, n, d):
     y = _rand_elems(rng, ctx, (n, d))
     want = np.stack([_dot_oracle(ctx, x[r], y[r]) for r in range(n)])
 
-    def check(name):
-        assert np.array_equal(kernels.dot_batch(x, y, ctx.red, ctx.p), want), name
-
-    _for_each_backend(check)
+    assert np.array_equal(kernels.dot_batch(x, y, ctx.red, ctx.p), want)
 
 
 @PROPERTY
@@ -87,11 +71,8 @@ def test_gather_dot_property(field, seed, n, d, m):
     kj = rng.integers(0, n, size=m)
     want = np.array([_dot_oracle(ctx, x[i], y[j]) for i, j in zip(ki, kj)]).reshape(m, ctx.deg)
 
-    def check(name):
-        got = kernels.gather_dot(x, y, ki, kj, ctx.red, ctx.p)
-        assert np.array_equal(got, want), name
-
-    _for_each_backend(check)
+    got = kernels.gather_dot(x, y, ki, kj, ctx.red, ctx.p)
+    assert np.array_equal(got, want)
 
 
 @PROPERTY
@@ -105,10 +86,7 @@ def test_matmul_property(field, seed, rows, mid, cols):
         [[_dot_oracle(ctx, a[r], b[:, c]) for c in range(cols)] for r in range(rows)]
     ).reshape(rows, cols, ctx.deg)
 
-    def check(name):
-        assert np.array_equal(kernels.matmul(a, b, ctx.red, ctx.p), want), name
-
-    _for_each_backend(check)
+    assert np.array_equal(kernels.matmul(a, b, ctx.red, ctx.p), want)
 
 
 @PROPERTY
@@ -129,9 +107,6 @@ def test_elim_update_property(field, seed, nr, nc):
         ]
     )
 
-    def check(name):
-        work = rows.copy()
-        kernels.elim_update(work, factors, pivot, ctx.red, ctx.p)
-        assert np.array_equal(work, want), name
-
-    _for_each_backend(check)
+    work = rows.copy()
+    kernels.elim_update(work, factors, pivot, ctx.red, ctx.p)
+    assert np.array_equal(work, want)

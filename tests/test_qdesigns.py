@@ -108,6 +108,21 @@ def test_matrix_algebra_through_the_complex_lift():
         assert re_trace_inner(a, b) == pytest.approx(re_trace_inner(b, a))
         ta = np.trace(complex_lift(conj_transpose(a)) @ complex_lift(b)).real
         assert re_trace_inner(a, b) == pytest.approx(ta / 2.0)
+        # the pairing is the Euclidean inner product of the real coordinates
+        assert re_trace_inner(a, b) == pytest.approx(float(np.dot(a.ravel(), b.ravel())))
+        # Hermitian and anti-Hermitian parts are orthogonal
+        herm, anti = a + conj_transpose(a), a - conj_transpose(a)
+        assert abs(re_trace_inner(herm, anti)) < 1e-12
+    # rectangular factors: the lift is multiplicative and Re tr(AB) = Re tr(BA)
+    a = _rand_q(rng, (2, 3))
+    b = _rand_q(rng, (3, 2))
+    assert np.allclose(complex_lift(qmatmul(a, b)), complex_lift(a) @ complex_lift(b))
+    tr_ab = np.trace(complex_lift(qmatmul(a, b))).real
+    tr_ba = np.trace(complex_lift(qmatmul(b, a))).real
+    assert tr_ab == pytest.approx(tr_ba)
+    eye = np.zeros((3, 3, 4))
+    eye[np.arange(3), np.arange(3), 0] = 1.0
+    assert re_trace_inner(eye, eye) == pytest.approx(3.0)
 
 
 def test_complex_embed_is_a_homomorphism():
@@ -117,6 +132,7 @@ def test_complex_embed_is_a_homomorphism():
         assert np.allclose(complex_embed(qmul(a, b)), complex_embed(a) @ complex_embed(b))
         assert np.allclose(complex_embed(qconj(a)), complex_embed(a).conj().T)
         assert np.linalg.det(complex_embed(a)).real == pytest.approx(qabs2(a))
+        assert np.trace(complex_embed(a)).real == pytest.approx(2 * a[0])
     assert np.allclose(complex_embed(Q_ONE), np.eye(2))
 
 
@@ -170,6 +186,14 @@ def test_check_rejects_non_designs():
     v /= np.sqrt(np.sum(v * v, axis=(1, 2), keepdims=True))
     bad = check_tight_q_design(QEnsemble(v))
     assert not bad and bad.reason in ("moments off target", "not equiangular")
+    # moments of the extreme cases in d = 3: one vector, and an orthonormal basis
+    rng = np.random.default_rng(8)
+    one = _rand_q(rng, (1, 3))
+    one /= np.sqrt(np.sum(one * one))
+    assert q_design_moments(QEnsemble(one)) == (pytest.approx(1.0), pytest.approx(1.0))
+    basis = np.zeros((3, 3, 4))
+    basis[np.arange(3), np.arange(3), 0] = 1.0
+    assert q_design_moments(QEnsemble(basis)) == (pytest.approx(1 / 3), pytest.approx(1 / 3))
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +215,18 @@ def test_s_basis_is_orthogonal():
         for c in range(3):
             ip = re_trace_inner(sb.elements[r], sb.elements[c])
             if r == c:
-                assert ip > 0
+                assert ip == pytest.approx(1.0)
             else:
                 assert abs(ip) < 1e-12
     with pytest.raises(ZeroVector):
         s_basis(np.zeros((2, 4)))
+    # at e_1 the basis is i, j, k in the corner entry and zero elsewhere
+    e1 = np.zeros((3, 4))
+    e1[0] = Q_ONE
+    corner = s_basis(e1).elements
+    assert np.array_equal(corner[:, 0, 0], np.stack([Q_I, Q_J, Q_K]))
+    corner[:, 0, 0] = 0.0
+    assert not corner.any()
 
 
 def test_cross_gramian_scale():
@@ -208,7 +239,18 @@ def test_cross_gramian_scale():
     s = float(qabs2(q_herm_inner(x, y)))
     # G^T G = |<x,y>|^4 I: the gramian is |<x,y>|^2 times a rotation
     assert np.allclose(g.T @ g, s * s * np.eye(3), atol=1e-12)
+    assert np.linalg.det(g / s) == pytest.approx(1.0)  # a proper rotation
     assert np.allclose(cross_gramian(x, x), np.eye(3), atol=1e-12)
+    # entries are the pairings of the two s-bases
+    sx, sy = s_basis(x).elements, s_basis(y).elements
+    direct = np.array([[re_trace_inner(p, q) for q in sy] for p in sx])
+    assert np.allclose(g, direct, atol=1e-12)
+    # orthogonal vectors give the zero gramian
+    xo = np.zeros((2, 4))
+    xo[0] = Q_ONE
+    yo = np.zeros((2, 4))
+    yo[1] = Q_J
+    assert not cross_gramian(xo, yo).any()
 
 
 def test_fusion_certificate_for_the_simplex():
@@ -264,15 +306,16 @@ def test_potential_of_the_simplex_attains_the_bound():
 
 
 def test_optimizer_finds_the_d2_design():
-    res = optimize_design(2, 6, seed=0)
-    assert res.converged
-    assert res.gap < 1e-8
-    assert res.bound == pytest.approx(0.3)
-    assert check_tight_q_design(res.ensemble, tol=1e-6)
-    assert res.iterations <= 2000 and res.seed == 0
-    # the Armijo line search keeps the recorded trace monotone
-    tr = np.asarray(res.trace)
-    assert np.all(tr[1:] <= tr[:-1] + 1e-12)
+    for seed in range(10):
+        res = optimize_design(2, 6, seed=seed)
+        assert res.converged, seed
+        assert res.gap < 1e-8
+        assert res.bound == pytest.approx(0.3)
+        assert check_tight_q_design(res.ensemble, tol=1e-6), seed
+        assert res.iterations <= 2000 and res.seed == seed
+        # the Armijo line search keeps the recorded trace monotone
+        tr = np.asarray(res.trace)
+        assert np.all(tr[1:] <= tr[:-1] + 1e-12)
 
 
 def test_optimizer_degenerate_cases():
@@ -282,6 +325,11 @@ def test_optimizer_degenerate_cases():
     assert res.converged
     with pytest.raises(ValueError):
         optimize_design(2, 0)
+    # a run stopped by the iteration cap stays above the bound and says so
+    res = optimize_design(4, 28, seed=0, iters=400)
+    assert res.iterations <= 400
+    assert res.gap >= 0
+    assert res.converged == (res.gap <= 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +337,7 @@ def test_optimizer_degenerate_cases():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_hermitian_split_spans_everything(d):
     herm = hermitian_basis(d)
     anti = anti_hermitian_basis(d)
