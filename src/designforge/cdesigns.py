@@ -414,12 +414,19 @@ def caratheodory_prune(
 ) -> CEnsemble:
     """Shrink a weighted 2-design to at most C(d+1, 2)^2 points.
 
-    Projective duplicates are merged first; then, while the support is
-    larger than the dimension of the Hermitian operators on the symmetric
-    subspace, a null direction of the stacked moment coordinates shifts
-    weight until the first weight (smallest index on ties) hits zero.  The
-    null direction automatically preserves the total weight because every
-    moment matrix has unit trace.
+    Projective duplicates are merged first.  When the support is still
+    larger than the dimension D of the Hermitian operators on the
+    symmetric subspace, one full SVD of the stacked moment coordinates
+    gives an exact null basis (the last N - D left singular vectors), with
+    no rank threshold.  Each null column in turn, signed so that its
+    largest entry is positive, shifts weight until the first weight
+    (smallest index on ties) hits zero, and that point is eliminated from
+    the remaining columns, so they stay null directions on the surviving
+    points (recombination).  Which points go is thus fixed by the column
+    order of that one basis.  The steps stop as soon as at most D weights
+    exceed 1e-13, and only those points are kept.  A null direction
+    automatically preserves the total weight because every moment matrix
+    has unit trace.
     """
     resid_in = check_weighted_2design(ens)
     if resid_in > tol:
@@ -440,28 +447,27 @@ def caratheodory_prune(
         wacc.append(float(ens.weights[dup].sum()))
     vectors = ens.vectors[keep]
     weights = np.array(wacc)
-    while len(weights) > target:
-        cur = CEnsemble(vectors, weights, check=False)
-        coords = _moment_coordinates(cur)
+    if len(weights) > target:
+        coords = _moment_coordinates(CEnsemble(vectors, weights, check=False))
         u, _, _ = np.linalg.svd(coords, full_matrices=True)
-        lam = u[:, -1]
-        null_resid = float(
-            np.linalg.norm(coords.T @ lam) / max(np.linalg.norm(coords), 1e-300)
-        )
-        if null_resid > breakdown:
-            raise NumericalBreakdown(f"no usable null direction ({null_resid:.2e})")
-        if lam.max() <= 0.0:
-            lam = -lam
-        ratio = np.where(lam > 1e-14, weights / np.maximum(lam, 1e-300), np.inf)
-        kill = int(np.argmin(ratio))
-        step = ratio[kill]
-        weights = weights - step * lam
-        weights[kill] = 0.0
-        weights = np.maximum(weights, 0.0)
+        rest = u[:, coords.shape[1]:]
+        scale = max(np.linalg.norm(coords), 1e-300)
+        while np.count_nonzero(weights > 1e-13) > target:
+            lam, rest = rest[:, 0], rest[:, 1:]
+            lam = lam / max(np.linalg.norm(lam), 1e-300)
+            if lam.max() <= 0.0:
+                lam = -lam
+            null_resid = float(np.linalg.norm(coords.T @ lam) / scale)
+            if null_resid > breakdown or lam.max() <= 1e-14:
+                raise NumericalBreakdown(f"no usable null direction ({null_resid:.2e})")
+            ratio = np.where(lam > 1e-14, weights / np.maximum(lam, 1e-300), np.inf)
+            kill = int(np.argmin(ratio))
+            weights = np.maximum(weights - ratio[kill] * lam, 0.0)
+            weights[kill] = 0.0
+            rest = rest - np.outer(lam / lam[kill], rest[kill])
         mask = weights > 1e-13
         vectors = vectors[mask]
-        weights = weights[mask]
-        weights = weights / weights.sum()
+        weights = weights[mask] / weights[mask].sum()
     out = CEnsemble(vectors, weights)
     resid_out = check_weighted_2design(out)
     if resid_out > max(tol, 10.0 * max(resid_in, 1e-15)):

@@ -189,11 +189,34 @@ class QEnsemble:
         return f"QEnsemble(n={self.n}, d={self.d})"
 
 
+# _HAMILTON[p, r, c] is component c of e_p e_r over the units (1, i, j, k).
+_HAMILTON = qmul(np.eye(4)[:, None, :], np.eye(4)[None, :, :])
+# b @ _CONJ_MUL holds, at (p, c), the coefficient of a_p in (conj(a) b)_c.
+_CONJ_MUL = qmul(qconj(np.eye(4))[:, None], np.eye(4)[None]).transpose(1, 0, 2).reshape(4, 16)
+# x @ _RIGHT_MUL holds, at (r, c), the coefficient of q_r in (x q)_c.
+_RIGHT_MUL = _HAMILTON.reshape(4, 16)
+
+
+def _q_gram(vectors: np.ndarray) -> np.ndarray:
+    """(n, n, 4) quaternion Gram x_k* x_l of an (n, d, 4) stack, as one GEMM.
+
+    conj(a) b is linear in a with coefficients that are a fixed signed
+    permutation of b, so folding those signs into the right operand turns
+    the whole Gram into one (n, 4d) @ (4d, 4n) real product.
+    """
+    n, d = vectors.shape[:2]
+    signed = (vectors.reshape(n * d, 4) @ _CONJ_MUL).reshape(n, d, 4, 4)
+    right = signed.transpose(1, 2, 0, 3).reshape(4 * d, 4 * n)
+    return (vectors.reshape(n, 4 * d) @ right).reshape(n, n, 4)
+
+
 def overlap_matrix(ens: QEnsemble) -> np.ndarray:
     """(n, n) matrix of squared overlaps |x_k* x_l|^2 = <x_k x_k*, x_l x_l*>."""
-    v = ens.vectors
-    ips = qmul(qconj(v)[:, None, :, :], v[None, :, :, :]).sum(axis=2)
-    return qabs2(ips)
+    return qabs2(_q_gram(ens.vectors))
+
+
+def _overlap_moments(sq: np.ndarray) -> Tuple[float, float]:
+    return float(sq.mean()), float((sq**2).mean())
 
 
 def q_design_moments(ens: QEnsemble) -> Tuple[float, float]:
@@ -202,8 +225,7 @@ def q_design_moments(ens: QEnsemble) -> Tuple[float, float]:
     A 2-design in H^d hits 1/d and 6/(2d(2d+1)); the first moment alone is
     already 1/d for every tight frame.
     """
-    sq = overlap_matrix(ens)
-    return float(sq.mean()), float((sq**2).mean())
+    return _overlap_moments(overlap_matrix(ens))
 
 
 def design_targets(d: int) -> Tuple[float, float]:
@@ -229,11 +251,11 @@ def check_tight_q_design(ens: QEnsemble, tol: float = DEFAULT_TOL) -> QDesignChe
     """Tight quaternionic 2-design test: moments on target, equiangular
     overlaps, and the tightness count n = 2d^2 - d."""
     n, d = ens.n, ens.d
-    first, second = q_design_moments(ens)
+    sq = overlap_matrix(ens)
+    first, second = _overlap_moments(sq)
     t1, t2 = design_targets(d)
     if abs(first - t1) > tol or abs(second - t2) > tol:
         return QDesignCheck(False, n, d, first, second, reason="moments off target")
-    sq = overlap_matrix(ens)
     if n > 1:
         iu, ju = np.triu_indices(n, k=1)
         vals = sq[iu, ju]
@@ -275,17 +297,27 @@ def s_basis(x: np.ndarray) -> SubspaceBasis:
     return SubspaceBasis(source=x, elements=elems)
 
 
+def _rotation_gramians(q: np.ndarray) -> np.ndarray:
+    """(..., 3, 3) Gramians Re(conj(u) q v conj(q)) over u, v in (i, j, k)
+    for (..., 4) quaternions q = a + bi + cj + dk: the rotation matrix of
+    v -> q v conj(q), scaled by |q|^2, whose entries are quadratics in q."""
+    a, b, c, d = (q[..., t] for t in range(4))
+    aa, bb, cc, dd = a * a, b * b, c * c, d * d
+    ab, ac, ad = a * b, a * c, a * d
+    bc, bd, cd = b * c, b * d, c * d
+    rows = (
+        (aa + bb - cc - dd, 2.0 * (bc - ad), 2.0 * (bd + ac)),
+        (2.0 * (bc + ad), aa - bb + cc - dd, 2.0 * (cd - ab)),
+        (2.0 * (bd - ac), 2.0 * (cd + ab), aa - bb - cc + dd),
+    )
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
 def cross_gramian(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """3x3 real Gramian G[u, v] = <x u x*, y v y*> = Re(conj(u) q v conj(q))
     with q = x*y.  Equals |x*y|^2 times a rotation (or 0 when x*y = 0)."""
     q = q_herm_inner(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
-    units = (Q_I, Q_J, Q_K)
-    out = np.empty((3, 3))
-    for r, u in enumerate(units):
-        left = qmul(qconj(u), q)
-        for c, v in enumerate(units):
-            out[r, c] = qmul(qmul(left, v), qconj(q))[0]
-    return out
+    return _rotation_gramians(q)
 
 
 @dataclass
@@ -315,48 +347,32 @@ class FusionCertificate:
 def certify_fusion_frame(ens: QEnsemble, tol: float = DEFAULT_TOL) -> FusionCertificate:
     """Check the bridge from an equiangular ensemble to its S(x) subspaces.
 
-    Every pair's cross-Gramian is computed; equi-isoclinicity means each
-    GᵀG is a scalar alpha I_3 with one strictly positive alpha across all
-    pairs (orthogonal subspaces — alpha = 0 — do not count as isoclinic).
-    The fusion potential includes the diagonal (||G_kk||_F^2 = 3) and is
-    compared to 9/(d(2d+1)), which it attains exactly when the source is a
-    2-design.
+    Every pair's cross-Gramian is computed, all at once from one quaternion
+    Gram; equi-isoclinicity means each GᵀG is a scalar alpha I_3 with one
+    strictly positive alpha across all pairs (orthogonal subspaces —
+    alpha = 0 — do not count as isoclinic).  Since G = |q|^2 R(q) with
+    q = x_k* x_l and R(q) a rotation, GᵀG = |q|^4 I_3 for every pair, so
+    here equi-isoclinic is the same as equiangular; `max_nonscalar` is kept
+    as the numerical check of that identity.  The witness is the first
+    failing pair in (k, l) order.  The fusion potential includes the
+    diagonal (||G_kk||_F^2 = 3) and is compared to 9/(d(2d+1)), which it
+    attains exactly when the source is a 2-design.
     """
     n, d = ens.n, ens.d
-    v = ens.vectors
-    grams = np.empty((n, n, 3, 3))
-    for k in range(n):
-        for l in range(n):
-            grams[k, l] = cross_gramian(v[k], v[l])
+    grams = _rotation_gramians(_q_gram(ens.vectors))
     potential = float(np.sum(grams**2) / (n * n))
     ambient = d * (2 * d + 1)
     target = 9.0 / ambient
-    isoclinic = True
-    alpha = None
-    witness = None
-    max_nonscalar = 0.0
-    alpha_spread = 0.0
-    for k in range(n):
-        for l in range(k + 1, n):
-            m = grams[k, l].T @ grams[k, l]
-            a_kl = float(np.trace(m) / 3.0)
-            dev = float(np.max(np.abs(m - a_kl * np.eye(3))))
-            max_nonscalar = max(max_nonscalar, dev)
-            if dev > tol and witness is None:
-                isoclinic = False
-                witness = (k, l)
-            if a_kl <= tol and witness is None:
-                isoclinic = False
-                witness = (k, l)
-            if alpha is None:
-                alpha = a_kl
-            else:
-                alpha_spread = max(alpha_spread, abs(a_kl - alpha))
-                if abs(a_kl - alpha) > tol and witness is None:
-                    isoclinic = False
-                    witness = (k, l)
-    if not isoclinic:
-        alpha = None
+    iu, ju = np.triu_indices(n, k=1)
+    pairs = grams[iu, ju]
+    m = np.swapaxes(pairs, 1, 2) @ pairs
+    alphas = np.trace(m, axis1=1, axis2=2) / 3.0
+    devs = np.max(np.abs(m - alphas[:, None, None] * np.eye(3)), axis=(1, 2), initial=0.0)
+    spread = np.abs(alphas - alphas[0]) if len(alphas) else alphas
+    failing = np.nonzero((devs > tol) | (alphas <= tol) | (spread > tol))[0]
+    isoclinic = len(failing) == 0
+    witness = None if isoclinic else (int(iu[failing[0]]), int(ju[failing[0]]))
+    alpha = float(alphas[0]) if isoclinic and len(alphas) else None
     return FusionCertificate(
         n=n,
         d=d,
@@ -367,8 +383,8 @@ def certify_fusion_frame(ens: QEnsemble, tol: float = DEFAULT_TOL) -> FusionCert
         potential=potential,
         target=target,
         residuals={
-            "max_nonscalar": max_nonscalar,
-            "alpha_spread": alpha_spread,
+            "max_nonscalar": float(np.max(devs, initial=0.0)),
+            "alpha_spread": float(np.max(spread, initial=0.0)),
             "potential_gap": abs(potential - target),
             "tol": tol,
         },
@@ -409,23 +425,26 @@ def simplex_design_d2() -> QEnsemble:
 
 def q_frame_potential(vectors: np.ndarray) -> float:
     """(1/n^2) sum_kl <x_k x_k*, x_l x_l*>^2 for an (n, d, 4) stack."""
-    ips = qmul(qconj(vectors)[:, None, :, :], vectors[None, :, :, :]).sum(axis=2)
-    sq = qabs2(ips)
+    sq = qabs2(_q_gram(vectors))
     n = vectors.shape[0]
     return float(np.sum(sq * sq) / (n * n))
 
 
 def q_potential_gradient(vectors: np.ndarray) -> np.ndarray:
     """Euclidean gradient of q_frame_potential in the real coordinates:
-    grad_m = (8/n^2) sum_l |x_m* x_l|^2 . x_l (x_l* x_m)."""
-    n = vectors.shape[0]
-    ips = qmul(qconj(vectors)[:, None, :, :], vectors[None, :, :, :]).sum(axis=2)
-    sq = qabs2(ips)  # (n, n)
-    # q_lm = x_l* x_m = ips[l, m]; weight by sq[m, l] = sq[l, m]
-    scaled = sq[:, :, None, None] * qmul(
-        vectors[None, :, :, :], ips.transpose(1, 0, 2)[:, :, None, :]
-    )  # entry [m, l] = sq[m, l] * x_l (x_l* x_m)
-    return (8.0 / (n * n)) * scaled.sum(axis=1)
+    grad_m = (8/n^2) sum_l |x_m* x_l|^2 . x_l (x_l* x_m).
+
+    Right multiplication x_l q is linear in q, so with the weights
+    w[m, l] = |x_m* x_l|^2 (x_l* x_m) the sum is one (n, 4n) @ (4n, 4d)
+    product against the stacked coefficient matrices of the x_l.
+    """
+    n, d = vectors.shape[:2]
+    ips = _q_gram(vectors)
+    weights = qabs2(ips)[:, :, None] * ips.transpose(1, 0, 2)
+    right = (vectors.reshape(n * d, 4) @ _RIGHT_MUL).reshape(n, d, 4, 4)
+    right = right.transpose(0, 2, 1, 3).reshape(4 * n, 4 * d)
+    grad = weights.reshape(n, 4 * n) @ right
+    return (8.0 / (n * n)) * grad.reshape(n, d, 4)
 
 
 def _renormalize(vectors: np.ndarray) -> np.ndarray:

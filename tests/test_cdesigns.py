@@ -12,6 +12,7 @@ from designforge.cdesigns import (
     ChoiMismatch,
     NotADesign,
     NotRankOne,
+    NumericalBreakdown,
     UnsupportedDimension,
     caratheodory_prune,
     check_weighted_2design,
@@ -364,6 +365,34 @@ def test_prune_leaves_small_ensembles_alone():
     pruned = caratheodory_prune(mix)
     # 21 points is already under the d = 3 support bound of 36
     assert pruned.n == 21
+
+
+def _rotated_mub5_mixture(seed):
+    """12 Haar-rotated copies of the d = 5 MUBs with random copy weights."""
+    rng = np.random.default_rng(seed)
+    base = mub_ensemble(5)
+    weights = np.repeat(rng.uniform(0.5, 1.5, size=12), base.n)
+    copies = [base.vectors @ _rand_unitary(rng, 5).T for _ in range(12)]
+    return CEnsemble(np.concatenate(copies), weights / weights.sum())
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_prune_mub5_mixture(seed):
+    mix = _rotated_mub5_mixture(seed)
+    assert mix.n == 360
+    pruned = caratheodory_prune(mix)
+    assert pruned.n <= 225  # C(6, 2)^2
+    # every pruned vector is one of the inputs, bit for bit
+    same = (pruned.vectors[:, None, :] == mix.vectors[None, :, :]).all(axis=2)
+    assert same.any(axis=1).all()
+    assert np.all(pruned.weights > 0)
+    assert abs(pruned.weights.sum() - 1.0) < 1e-12
+    assert check_weighted_2design(pruned) <= 1e-9
+
+
+def test_prune_checks_every_null_direction():
+    with pytest.raises(NumericalBreakdown):
+        caratheodory_prune(_rotated_mub5_mixture(1), breakdown=0.0)
 
 
 def test_prune_rejects_non_design():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from designforge.qdesigns import (
+    DEFAULT_TOL,
     DimensionMismatch,
+    _q_gram,
     Q_I,
     Q_J,
     Q_K,
@@ -251,6 +253,110 @@ def test_cross_gramian_scale():
     yo = np.zeros((2, 4))
     yo[1] = Q_J
     assert not cross_gramian(xo, yo).any()
+
+
+def _unit_stack(rng, n, d):
+    v = rng.normal(size=(n, d, 4))
+    return v / np.sqrt(np.sum(v * v, axis=(1, 2), keepdims=True))
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (6, 2), (15, 3)])
+def test_q_gram_matches_broadcast_products(n, d):
+    v = _unit_stack(np.random.default_rng(n + d), n, d)
+    ref = qmul(qconj(v)[:, None], v[None]).sum(axis=2)
+    gram = _q_gram(v)
+    assert gram.shape == (n, n, 4)
+    assert np.allclose(gram, ref, rtol=0, atol=1e-14)
+    assert np.allclose(overlap_matrix(QEnsemble(v)), qabs2(ref), rtol=0, atol=1e-14)
+
+
+def _gramian_by_definition(x, y):
+    q = qmul(qconj(x), y).sum(axis=0)
+    units = (Q_I, Q_J, Q_K)
+    return np.array(
+        [[qmul(qmul(qmul(qconj(u), q), v), qconj(q))[0] for v in units] for u in units]
+    )
+
+
+def test_cross_gramian_matches_the_defining_formula():
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 3):
+        for _ in range(5):
+            x, y = _unit_stack(rng, 2, d)
+            assert np.allclose(cross_gramian(x, y), _gramian_by_definition(x, y), atol=1e-14)
+            assert np.allclose(cross_gramian(x, x), _gramian_by_definition(x, x), atol=1e-14)
+    # an orthogonal pair: x*y = 0, so both sides vanish
+    x = np.zeros((2, 4))
+    x[0] = _unit_stack(rng, 1, 1)[0, 0]
+    y = np.zeros((2, 4))
+    y[1] = _unit_stack(rng, 1, 1)[0, 0]
+    assert not cross_gramian(x, y).any()
+    assert not _gramian_by_definition(x, y).any()
+
+
+def _fusion_by_pairs(v, tol):
+    """The certificate's isoclinic verdict, computed one pair at a time."""
+    n = len(v)
+    grams = np.array([[_gramian_by_definition(v[k], v[l]) for l in range(n)] for k in range(n)])
+    alpha, witness, max_nonscalar, spread = None, None, 0.0, 0.0
+    for k in range(n):
+        for l in range(k + 1, n):
+            m = grams[k, l].T @ grams[k, l]
+            a_kl = float(np.trace(m) / 3.0)
+            dev = float(np.max(np.abs(m - a_kl * np.eye(3))))
+            max_nonscalar = max(max_nonscalar, dev)
+            alpha = a_kl if alpha is None else alpha
+            spread = max(spread, abs(a_kl - alpha))
+            failed = dev > tol or a_kl <= tol or abs(a_kl - alpha) > tol
+            if failed and witness is None:
+                witness = (k, l)
+    isoclinic = witness is None
+    return {
+        "isoclinic": isoclinic,
+        "alpha": alpha if isoclinic else None,
+        "witness": witness,
+        "potential": float(np.sum(grams**2) / (n * n)),
+        "max_nonscalar": max_nonscalar,
+        "alpha_spread": spread,
+    }
+
+
+def _assert_fusion_matches_pairs(v, tol):
+    cert = certify_fusion_frame(QEnsemble(v), tol=tol)
+    ref = _fusion_by_pairs(v, tol)
+    assert cert.isoclinic == ref["isoclinic"]
+    assert cert.witness == ref["witness"]
+    if ref["alpha"] is None:
+        assert cert.alpha is None
+    else:
+        assert cert.alpha == pytest.approx(ref["alpha"], abs=1e-12)
+    assert cert.potential == pytest.approx(ref["potential"], abs=1e-12)
+    for key in ("max_nonscalar", "alpha_spread"):
+        assert cert.residuals[key] == pytest.approx(ref[key], abs=1e-12)
+    return cert
+
+
+def test_fusion_certificate_matches_the_pairwise_loop():
+    rng = np.random.default_rng(12)
+    # random vectors: no two pairs share an overlap, so (0, 2) is the witness
+    cert = _assert_fusion_matches_pairs(_unit_stack(rng, 8, 3), DEFAULT_TOL)
+    assert cert.witness == (0, 2)
+    # the simplex with its fifth vector replaced: pairs up to (0, 3) agree,
+    # so the first failing pair in (k, l) order is (0, 4)
+    v = simplex_design_d2().vectors.copy()
+    v[4] = _unit_stack(rng, 1, 2)[0]
+    cert = _assert_fusion_matches_pairs(v, DEFAULT_TOL)
+    assert cert.witness == (0, 4)
+    # an orthogonal pair after equiangular ones fails on alpha <= tol
+    v = simplex_design_d2().vectors.copy()
+    v[3] = 0.0
+    v[3, 1, 0] = 1.0
+    cert = _assert_fusion_matches_pairs(v, DEFAULT_TOL)
+    assert cert.witness == (0, 3)
+    # the simplex itself passes, and a single vector has no pairs at all
+    assert _assert_fusion_matches_pairs(simplex_design_d2().vectors, DEFAULT_TOL).isoclinic
+    single = _assert_fusion_matches_pairs(_unit_stack(rng, 1, 2), DEFAULT_TOL)
+    assert single.isoclinic and single.alpha is None
 
 
 def test_fusion_certificate_for_the_simplex():
