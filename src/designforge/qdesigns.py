@@ -16,6 +16,7 @@ d(2d+1)-dimensional space of Hermitian quaternion matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -189,12 +190,18 @@ class QEnsemble:
         return f"QEnsemble(n={self.n}, d={self.d})"
 
 
-# _HAMILTON[p, r, c] is component c of e_p e_r over the units (1, i, j, k).
-_HAMILTON = qmul(np.eye(4)[:, None, :], np.eye(4)[None, :, :])
-# b @ _CONJ_MUL holds, at (p, c), the coefficient of a_p in (conj(a) b)_c.
-_CONJ_MUL = qmul(qconj(np.eye(4))[:, None], np.eye(4)[None]).transpose(1, 0, 2).reshape(4, 16)
-# x @ _RIGHT_MUL holds, at (r, c), the coefficient of q_r in (x q)_c.
-_RIGHT_MUL = _HAMILTON.reshape(4, 16)
+@functools.lru_cache(maxsize=None)
+def _unit_products() -> Tuple[np.ndarray, np.ndarray]:
+    """The two constant (4, 16) coefficient matrices of quaternion products,
+    built on first use so that importing this module multiplies no quaternions.
+
+    b @ conj_mul holds, at (p, c), the coefficient of a_p in (conj(a) b)_c;
+    x @ right_mul holds, at (r, c), the coefficient of q_r in (x q)_c.
+    """
+    e = np.eye(4)
+    conj_mul = qmul(qconj(e)[:, None], e[None]).transpose(1, 0, 2).reshape(4, 16)
+    right_mul = qmul(e[:, None, :], e[None, :, :]).reshape(4, 16)
+    return conj_mul, right_mul
 
 
 def _q_gram(vectors: np.ndarray) -> np.ndarray:
@@ -205,7 +212,8 @@ def _q_gram(vectors: np.ndarray) -> np.ndarray:
     the whole Gram into one (n, 4d) @ (4d, 4n) real product.
     """
     n, d = vectors.shape[:2]
-    signed = (vectors.reshape(n * d, 4) @ _CONJ_MUL).reshape(n, d, 4, 4)
+    conj_mul, _ = _unit_products()
+    signed = (vectors.reshape(n * d, 4) @ conj_mul).reshape(n, d, 4, 4)
     right = signed.transpose(1, 2, 0, 3).reshape(4 * d, 4 * n)
     return (vectors.reshape(n, 4 * d) @ right).reshape(n, n, 4)
 
@@ -441,7 +449,8 @@ def q_potential_gradient(vectors: np.ndarray) -> np.ndarray:
     n, d = vectors.shape[:2]
     ips = _q_gram(vectors)
     weights = qabs2(ips)[:, :, None] * ips.transpose(1, 0, 2)
-    right = (vectors.reshape(n * d, 4) @ _RIGHT_MUL).reshape(n, d, 4, 4)
+    _, right_mul = _unit_products()
+    right = (vectors.reshape(n * d, 4) @ right_mul).reshape(n, d, 4, 4)
     right = right.transpose(0, 2, 1, 3).reshape(4 * n, 4 * d)
     grad = weights.reshape(n, 4 * n) @ right
     return (8.0 / (n * n)) * grad.reshape(n, d, 4)

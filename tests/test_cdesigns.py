@@ -14,6 +14,7 @@ from designforge.cdesigns import (
     NotRankOne,
     NumericalBreakdown,
     UnsupportedDimension,
+    _moment_coordinates,
     caratheodory_prune,
     check_weighted_2design,
     choi,
@@ -391,8 +392,29 @@ def test_prune_mub5_mixture(seed):
 
 
 def test_prune_checks_every_null_direction():
+    mix = _rotated_mub5_mixture(3)
+    # null residuals of the directions pruning uses: the same one SVD and
+    # the same ratio test and elimination, one column at a time
+    coords = _moment_coordinates(mix)
+    rest = np.linalg.svd(coords, full_matrices=True)[0][:, coords.shape[1] :]
+    weights = mix.weights.copy()
+    resid = []
+    while np.count_nonzero(weights > 1e-13) > 225:
+        lam, rest = rest[:, 0], rest[:, 1:]
+        lam = lam / np.linalg.norm(lam)
+        lam = lam if lam.max() > 0.0 else -lam
+        resid.append(np.linalg.norm(coords.T @ lam) / np.linalg.norm(coords))
+        ratio = np.where(lam > 1e-14, weights / np.maximum(lam, 1e-300), np.inf)
+        kill = int(np.argmin(ratio))
+        weights = np.maximum(weights - ratio[kill] * lam, 0.0)
+        weights[kill] = 0.0
+        rest = rest - np.outer(lam / lam[kill], rest[kill])
+    first, worst = resid[0], max(resid)
+    assert worst > 2.0 * first
+    # a bound the first direction meets but a later, eliminated one does not
     with pytest.raises(NumericalBreakdown):
-        caratheodory_prune(_rotated_mub5_mixture(1), breakdown=0.0)
+        caratheodory_prune(mix, breakdown=math.sqrt(first * worst))
+    assert caratheodory_prune(mix, breakdown=1.01 * worst).n <= 225
 
 
 def test_prune_rejects_non_design():

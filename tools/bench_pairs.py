@@ -6,14 +6,15 @@ Run from the repository root:
     python3 tools/bench_pairs.py --label pr6 --parent HEAD --seeds 91-100 \\
         --what "one-line description of the change"
 
-For each seed (one pair per seed) and each workload, `perfbench/run.py
---trace 0` runs once on each side: the parent, a `git archive` export of
---parent in a temporary directory, and the change, the working tree.  The
-side that goes first alternates (the parent on even pairs).  Each run's
-end-to-end metrics are read from the last line of its stdout.  The result
-goes to BENCH_<label>.json: per side and metric the median and quartiles of
-the runs, how many pairs the change was lower in, and the attempted and
-failed checks.  With --traced SEED each side also makes one --trace 1 run
+The command, the run length and the workload names come from
+BENCHMARK.json.  For each seed (one pair per seed) and each workload, the
+benchmark command runs once with --trace 0 on each side: the parent, a
+`git archive` export of --parent in a temporary directory, and the change,
+the working tree.  The side that goes first alternates (the parent on even
+pairs).  Each run's end-to-end metrics are read from the last line of its
+stdout.  The result goes to BENCH_<label>.json: per side and metric the
+median and quartiles of the runs, how many pairs the change was lower in,
+and the attempted and failed checks.  With --traced SEED each side also makes one --trace 1 run
 per workload, and its per-layer metrics are stored as they are.
 
 Standard library only; nothing under perfbench/ is written to except its
@@ -30,14 +31,13 @@ import platform
 import shutil
 import statistics
 import subprocess
-import sys
 import tarfile
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("gabor73", "gabor57", "verify-cli", "cq-numeric")
-RUN_TIMEOUT_S = 900
+BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCH["workloads"]]
 
 
 def export_rev(rev: str, dest: Path) -> None:
@@ -49,13 +49,13 @@ def export_rev(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run; returns its final JSON line plus the machine line."""
+def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
+    """One benchmark run; returns its final JSON line plus the machine line."""
     cmd = [
-        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", str(trace),
+        *BENCH["command"], "--workload", workload, "--seed", str(seed),
+        "--seconds", str(BENCH["run_seconds"]), "--trace", str(trace),
     ]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
@@ -122,24 +122,21 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True, help="output goes to BENCH_<label>.json")
     ap.add_argument("--parent", default="HEAD", help="git revision to compare against")
     ap.add_argument("--seeds", default="91-100", help="one pair per seed: 'a-b' or 'a,b,c'")
-    ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
     ap.add_argument("--traced", type=int, default=None, help="seed of one --trace 1 run per side")
     ap.add_argument("--what", default="", help="what the change is, for the file")
     args = ap.parse_args(argv)
     seeds = parse_seeds(args.seeds)
-    workloads = args.workloads.split(",")
     tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
     try:
         export_rev(args.parent, tmp)
         sides = {"parent": tmp, "change": ROOT}
-        runs = {w: {"parent": [], "change": []} for w in workloads}
+        runs = {w: {"parent": [], "change": []} for w in WORKLOADS}
         machine = {}
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for w in workloads:
+            for w in WORKLOADS:
                 for side in order:
-                    result = run_once(sides[side], w, seed, args.seconds, 0)
+                    result = run_once(sides[side], w, seed, 0)
                     machine = result.pop("machine", machine)
                     runs[w][side].append(result)
                     wall = result["metrics"]["wall_s"]["value"]
@@ -148,8 +145,8 @@ def main(argv=None) -> int:
         machine.pop("blas_gflops", None)
         machine["cpu"] = cpu_description()
         doc = {
-            "command": "python3 perfbench/run.py --workload <w> --seed <s>"
-            f" --seconds {args.seconds:g} --trace 0",
+            "command": " ".join(BENCH["command"])
+            + f" --workload <w> --seed <s> --seconds {BENCH['run_seconds']:g} --trace 0",
             "machine": dict(sorted(machine.items())),
             "untraced": {
                 "note": "each value is the run's median over its closed-loop operations",
@@ -157,17 +154,17 @@ def main(argv=None) -> int:
                 "pairs": len(seeds),
                 "seeds": seeds,
                 "workloads": {
-                    w: compare(runs[w]["parent"], runs[w]["change"]) for w in sorted(workloads)
+                    w: compare(runs[w]["parent"], runs[w]["change"]) for w in sorted(WORKLOADS)
                 },
             },
             "what": args.what,
         }
         if args.traced is not None:
             traced = {}
-            for w in sorted(workloads):
+            for w in sorted(WORKLOADS):
                 traced[w] = {}
                 for side in ("change", "parent"):
-                    result = run_once(sides[side], w, args.traced, args.seconds, 1)
+                    result = run_once(sides[side], w, args.traced, 1)
                     traced[w][side] = {k: v["value"] for k, v in sorted(result["metrics"].items())}
                     print(f"traced {w} {side} done", flush=True)
             doc["traced"] = {
