@@ -169,8 +169,16 @@ class Channel:
         return self._apply_fn(x)
 
     def choi(self) -> np.ndarray:
-        """C = sum_ij e_i e_j* (x) Phi(e_i e_j*), computed once and cached."""
-        if self._choi is None:
+        """C = sum_ij e_i e_j* (x) Phi(e_i e_j*), computed once and cached.
+
+        For Kraus channels C = sum_k vec(R_k) vec(R_k)*, vec stacking columns.
+        """
+        if self._choi is not None:
+            return self._choi
+        if self.kraus is not None:
+            vecs = np.stack(self.kraus).transpose(0, 2, 1).reshape(len(self.kraus), -1)
+            self._choi = vecs.T @ vecs.conj()
+        else:
             d, m = self.d_in, self.d_out
             c = np.zeros((d * m, d * m), dtype=np.complex128)
             basis = np.zeros((d, d), dtype=np.complex128)
@@ -288,7 +296,8 @@ def design_to_kraus(
 
     R_k = sqrt(d w_k) conj(x_k) x_k^T; the returned certificate records the
     moment residual of the input, Kraus completeness, and the reconstruction
-    residual of X -> (X + tr X . I)/(d+1) on the full matrix-unit basis.
+    residual of X -> (X + tr X . I)/(d+1) on the full matrix-unit basis,
+    read off the two Choi matrices (block (i, j) is the image of e_i e_j*).
     """
     moment_resid = check_weighted_2design(ens)
     if moment_resid > tol:
@@ -300,14 +309,7 @@ def design_to_kraus(
     ]
     ch = Channel(d, d, kraus=kraus)
     completeness = ch.completeness_residual()
-    dep = depolarizing_channel(d)
-    recon = 0.0
-    basis = np.zeros((d, d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            basis[i, j] = 1.0
-            recon = max(recon, float(np.max(np.abs(ch.apply(basis) - dep.apply(basis)))))
-            basis[i, j] = 0.0
+    recon = float(np.max(np.abs(ch.choi() - depolarizing_channel(d).choi())))
     cert = EbrCertificate(
         d=d,
         bound=ens.n,

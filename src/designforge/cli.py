@@ -19,10 +19,6 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 
 
-def _field_int(e) -> int:
-    return e.to_int()
-
-
 # ---------------------------------------------------------------------------
 # construct
 # ---------------------------------------------------------------------------
@@ -75,30 +71,15 @@ def cmd_construct(args) -> int:
 
 
 def _verify_finite(ens, claims: List[str], tol: float) -> List[dict]:
-    from .ffdesigns import (
-        certify_tight_2design,
-        check_etf,
-        check_tight_frame,
-        structural_gabor_verify,
-    )
+    from .ffdesigns import certify_tight_2design, check_tight_frame, verify_etf
 
     out = []
     for claim in claims:
         if claim == "etf":
-            if ens.metadata.get("kind") == "gabor":
-                res = structural_gabor_verify(ens)
-                method = "structural-gabor"
-            else:
-                res = check_etf(ens)
-                method = "full-gram"
-            entry = {"name": claim, "method": method, "ok": bool(res), "exact": True}
+            res = verify_etf(ens)
+            entry = {"name": claim, "method": res.method, "ok": bool(res), "exact": True}
             if res:
-                a, b, c = res.params
-                entry["values"] = {
-                    "a": _field_int(a),
-                    "b": _field_int(b),
-                    "c": _field_int(c),
-                }
+                entry["values"] = {k: v.to_int() for k, v in zip(("a", "b", "c"), res.params)}
             else:
                 entry["counterexample"] = list(res.counterexample)
             out.append(entry)
@@ -112,12 +93,7 @@ def _verify_finite(ens, claims: List[str], tol: float) -> List[dict]:
                 "cross_checks": list(cert.cross_checks),
             }
             if cert.design is not None:
-                a, c1, c2 = cert.design
-                entry["values"] = {
-                    "a": _field_int(a),
-                    "c1": _field_int(c1),
-                    "c2": _field_int(c2),
-                }
+                entry["values"] = {k: v.to_int() for k, v in zip(("a", "c1", "c2"), cert.design)}
             if cert.failures:
                 entry["failures"] = list(cert.failures)
             out.append(entry)
@@ -125,7 +101,7 @@ def _verify_finite(ens, claims: List[str], tol: float) -> List[dict]:
             c = check_tight_frame(ens)
             entry = {"name": claim, "method": "frame-operator", "ok": c is not None, "exact": True}
             if c is not None:
-                entry["values"] = {"c": _field_int(c)}
+                entry["values"] = {"c": c.to_int()}
             out.append(entry)
         else:
             raise UsageError(f"claim {claim!r} not defined for finite ensembles")
@@ -238,7 +214,7 @@ def cmd_verify(args) -> int:
     from .qdesigns import QEnsemble
 
     started = time.time()
-    ens, _doc = io.load_design(args.file)
+    ens = io.load_design(args.file)[0]  # not the parsed document: it is as large as the data
     claims = [c.strip() for c in args.claims.split(",") if c.strip()]
     if not claims:
         raise UsageError("no claims requested")

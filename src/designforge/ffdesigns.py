@@ -13,12 +13,18 @@ A 2-design is a c2-tight frame of the lifted vectors x_k (x) x_k for the
 symmetric subspace.  Two independent verification routes are provided (a
 dense tensor comparison and a blockwise map comparison) plus a parameter
 certificate route for ensembles far too large to verify directly.
+
+An FFEnsemble's data is read-only, and a private memo keeps what every
+claim shares: the conjugate, the frame operator, the tightness constant and
+the canonical products <x_0, x_j> (nothing that reads the mutable metadata).
+`verify_etf` alone picks the ETF route: structural when the Gabor metadata
+rebuilds the data exactly, else the full Gram.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,10 +82,6 @@ class MetadataMissing(DesignError):
     pass
 
 
-class OrderHypothesisFails(DesignError):
-    pass
-
-
 class InvalidDifferenceSet(DesignError):
     pass
 
@@ -132,20 +134,6 @@ def verify_difference_set(modulus: int, elements: Sequence[int]) -> int:
     return lam
 
 
-def _trial_prime_factors(m: int) -> List[int]:
-    out = []
-    c = 2
-    while c * c <= m:
-        if m % c == 0:
-            out.append(c)
-            while m % c == 0:
-                m //= c
-        c += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def _prime_power_split(r: int) -> Tuple[int, int]:
     if r < 2:
         raise NotPrimePower(f"{r} is not a prime power")
@@ -196,11 +184,12 @@ def singer_difference_set(r: int) -> DifferenceSet:
 class FFEnsemble:
     """A finite list of vectors in F_{q^2}^d with optional construction data.
 
-    data has shape (n, d, K); metadata (when present) records how the
-    ensemble was built, e.g. Gabor parameters {p, k, r, D, alpha, omega}.
+    data has shape (n, d, K) and is read-only; metadata (when present)
+    records how the ensemble was built, e.g. Gabor parameters
+    {p, k, r, D, alpha, omega}.
     """
 
-    __slots__ = ("ctx", "data", "metadata")
+    __slots__ = ("ctx", "data", "metadata", "_memo")
 
     def __init__(self, ctx: FieldCtx, data, metadata: Optional[dict] = None):
         arr = np.asarray(data, dtype=np.int64) % ctx.p
@@ -208,7 +197,9 @@ class FFEnsemble:
             raise ValueError(f"expected (n, d, {ctx.deg}) array, got {arr.shape}")
         self.ctx = ctx
         self.data = np.ascontiguousarray(arr)
+        self.data.flags.writeable = False
         self.metadata = dict(metadata) if metadata else {}
+        self._memo = {}
 
     @classmethod
     def from_vectors(cls, vectors: Sequence[FFVector], metadata=None) -> "FFEnsemble":
@@ -230,13 +221,24 @@ class FFEnsemble:
         return f"FFEnsemble(n={self.n}, d={self.d}, p={self.ctx.p}, k={self.ctx.deg})"
 
 
+def _memoized(ens: FFEnsemble, key: str, compute: Callable):
+    """The ensemble's value for key, computed on first use; arrays are read-only."""
+    if key not in ens._memo:
+        value = ens._memo[key] = compute()
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return ens._memo[key]
+
+
+def _conjugate(ens: FFEnsemble) -> np.ndarray:
+    """frob(x_k) entrywise for every vector."""
+    return _memoized(ens, "conjugate", lambda: frobenius_array(ens.ctx, ens.data))
+
+
 def _frame_operator(ens: FFEnsemble) -> np.ndarray:
     """S = sum_k x_k x_k* as a (d, d, K) array."""
-    ctx = ens.ctx
-    xs = ens.data
-    xf = frobenius_array(ctx, xs)
-    xt = np.ascontiguousarray(xs.transpose(1, 0, 2))
-    return kernels.matmul(xt, xf, ctx.red, ctx.p)
+    ctx, xt = ens.ctx, ens.data.transpose(1, 0, 2)
+    return _memoized(ens, "frame", lambda: kernels.matmul(xt, _conjugate(ens), ctx.red, ctx.p))
 
 
 def _norm_values(ens: FFEnsemble, ips: np.ndarray) -> np.ndarray:
@@ -248,15 +250,7 @@ def _norm_values(ens: FFEnsemble, ips: np.ndarray) -> np.ndarray:
 def _pair_inner(ens: FFEnsemble, ki: np.ndarray, kj: np.ndarray) -> np.ndarray:
     """<x_{ki[m]}, x_{kj[m]}> for index arrays, conjugating the first slot."""
     ctx = ens.ctx
-    xf = frobenius_array(ctx, ens.data)
-    return kernels.gather_dot(
-        xf,
-        ens.data,
-        np.ascontiguousarray(ki, dtype=np.int64),
-        np.ascontiguousarray(kj, dtype=np.int64),
-        ctx.red,
-        ctx.p,
-    )
+    return kernels.gather_dot(_conjugate(ens), ens.data, ki, kj, ctx.red, ctx.p)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +264,15 @@ def check_tight_frame(ens: FFEnsemble, subspace: Optional[np.ndarray] = None):
     P is the identity when no subspace is given, else the orthogonal
     projection onto the span of the given basis columns (d, m, K).  When
     c = 0 tightness alone says nothing, so the spanning condition is checked
-    explicitly; for c != 0 it is implied.
+    explicitly; for c != 0 it is implied.  The answer for P = I is computed
+    once per ensemble.
     """
+    if subspace is None:
+        return _memoized(ens, "tight", lambda: _tight_constant(ens, None))
+    return _tight_constant(ens, subspace)
+
+
+def _tight_constant(ens: FFEnsemble, subspace: Optional[np.ndarray]):
     ctx = ens.ctx
     s = _frame_operator(ens)
     if subspace is None:
@@ -281,7 +282,7 @@ def check_tight_frame(ens: FFEnsemble, subspace: Optional[np.ndarray] = None):
     else:
         basis = np.asarray(subspace, dtype=np.int64) % ctx.p
         dim = basis.shape[1]
-        bt = np.ascontiguousarray(frobenius_array(ctx, basis.transpose(1, 0, 2)))
+        bt = frobenius_array(ctx, basis.transpose(1, 0, 2))
         gram = kernels.matmul(bt, basis, ctx.red, ctx.p)
         ginv = inverse(ctx, gram)
         if ginv is None:
@@ -301,9 +302,7 @@ def check_tight_frame(ens: FFEnsemble, subspace: Optional[np.ndarray] = None):
         return None
     if c.is_zero():
         if subspace is not None:
-            stacked = np.concatenate(
-                [np.ascontiguousarray(basis.transpose(1, 0, 2)), ens.data]
-            )
+            stacked = np.concatenate([basis.transpose(1, 0, 2), ens.data])
             if rank(ctx, stacked) != dim:
                 return None  # some vector leaves the subspace
         if rank(ctx, ens.data, max_pivots=dim) != dim:
@@ -337,6 +336,7 @@ class EtfCheck:
 
     params: Optional[Tuple[FieldElement, FieldElement, FieldElement]]
     counterexample: Optional[Tuple[str, int, int]] = None
+    method: str = "full-gram"  # the route: "full-gram" or "structural-gabor"
 
     def __bool__(self) -> bool:
         return self.params is not None
@@ -353,7 +353,8 @@ def check_etf(ens: FFEnsemble) -> EtfCheck:
     n = ens.n
     if n < 2:
         return EtfCheck(None, ("too-few-vectors", 0, 0))
-    norms = _norm_diag(ens)
+    idx = np.arange(n)
+    norms = _pair_inner(ens, idx, idx)
     a = FieldElement(ctx, norms[0])
     bad = np.nonzero(np.any(norms != norms[0], axis=1))[0]
     if bad.size:
@@ -373,11 +374,6 @@ def check_etf(ens: FFEnsemble) -> EtfCheck:
     if a * (c - a) != ctx.scalar(n - 1) * b:
         raise DesignError("internal: row-sum identity a(c-a) = (n-1) b failed")
     return EtfCheck((a, b, c))
-
-
-def _norm_diag(ens: FFEnsemble) -> np.ndarray:
-    idx = np.arange(ens.n, dtype=np.int64)
-    return _pair_inner(ens, idx, idx)
 
 
 def gram_sample_check(
@@ -432,7 +428,7 @@ def _hermitian_coordinates(ens: FFEnsemble) -> np.ndarray:
     alpha = primitive_element(ctx)
     denom = (alpha - frobenius(alpha)).inverse()
     xs = ens.data
-    xf = frobenius_array(ctx, xs)
+    xf = _conjugate(ens)
     iu, ju = np.triu_indices(d, k=1)
     # off-diagonal entries e = x[i] frob(x[j]) for every vector
     left = xs[:, iu, :].reshape(-1, ctx.deg)
@@ -484,7 +480,7 @@ def check_gerzon(
     if a.is_zero():
         report.span_expected = d * d - 1
         report.span_dim = rank(ctx, coords)
-        ns = nullspace(ctx, np.ascontiguousarray(coords.transpose(1, 0, 2)))
+        ns = nullspace(ctx, coords.transpose(1, 0, 2))
         unique = ns.shape[0] == 1
         if unique:
             # scale so the first entry is 1; the dependency must be all-ones
@@ -531,9 +527,8 @@ def check_2design_naive(
     if n * d**4 > budget:
         raise BudgetExceeded(f"naive route cost n d^4 = {n * d ** 4} over budget")
     lifted = _lifted_vectors(ens)
-    lt = np.ascontiguousarray(lifted.transpose(1, 0, 2))
     lf = frobenius_array(ctx, lifted)
-    t = kernels.matmul(lt, lf, ctx.red, ctx.p)
+    t = kernels.matmul(lifted.transpose(1, 0, 2), lf, ctx.red, ctx.p)
     pi = sym_projector(ctx, d)
     c2 = FieldElement(ctx, t[0, 0])  # Pi[(0,0),(0,0)] = 1
     if not np.array_equal(t, _scale_array(ctx, pi.data, c2)):
@@ -558,14 +553,13 @@ def check_2design_psi(
     n, d = ens.n, ens.d
     if n * d**4 > budget:
         raise BudgetExceeded(f"psi route cost n d^4 = {n * d ** 4} over budget")
-    xf = frobenius_array(ctx, ens.data)
+    xf = _conjugate(ens)
     # X[k, i*d+j] = x_k[i] frob(x_k[j]) — both the blocks' coefficients and
     # the rank-one matrices themselves
     left = np.repeat(ens.data, d, axis=1).reshape(-1, ctx.deg)
     right = np.tile(xf, (1, d, 1)).reshape(-1, ctx.deg)
     x = kernels.mul_batch(left, right, ctx.red, ctx.p).reshape(n, d * d, ctx.deg)
-    xt = np.ascontiguousarray(x.transpose(1, 0, 2))
-    psi = kernels.matmul(xt, x, ctx.red, ctx.p)  # (d^2, d^2, K)
+    psi = kernels.matmul(x.transpose(1, 0, 2), x, ctx.red, ctx.p)  # (d^2, d^2, K)
     if d == 1:
         c2 = FieldElement(ctx, psi[0, 0])
         gamma = c2 / ctx.scalar(2)
@@ -620,19 +614,14 @@ def certify_tight_2design(ens: FFEnsemble) -> FFCertificate:
 
     An ETF whose (a, b, c1) satisfy a^2 != b together with
     a(a^2 - b) = b c1 (for a != 0) or d = -1 mod p (for a = 0) is an
-    (a, c1, c2)-design with c2 = 2(a^2 - b).  ETF parameters come from the
-    structural verifier when construction metadata is present, else from
-    the full Gram.  Within budget the blockwise route re-verifies c2.
+    (a, c1, c2)-design with c2 = 2(a^2 - b).  ETF parameters come from
+    `verify_etf`.  Within budget the blockwise route re-verifies c2.
     """
     ctx = ens.ctx
     n, d = ens.n, ens.d
-    cert = FFCertificate(n=n, d=d)
-    if ens.metadata.get("kind") == "gabor":
-        res = structural_gabor_verify(ens)
-        cert.method = "structural-gabor"
-    else:
-        res = check_etf(ens)
-        cert.method = "parameter-conditions"
+    res = verify_etf(ens)
+    method = res.method if res.method == "structural-gabor" else "parameter-conditions"
+    cert = FFCertificate(n=n, d=d, method=method)
     if not res:
         cert.failures.append(f"not an ETF: counterexample {res.counterexample}")
         return cert
@@ -683,7 +672,7 @@ def decomposition_check(ens: FFEnsemble, c2: FieldElement, a_mat: FFMatrix) -> b
     ctx = ens.ctx
     n, d = ens.n, ens.d
     xs = ens.data
-    xf = frobenius_array(ctx, xs)
+    xf = _conjugate(ens)
     t1 = kernels.matmul(xf, a_mat.data, ctx.red, ctx.p)  # (n, d, K)
     w = kernels.dot_batch(t1, xs, ctx.red, ctx.p)  # w_k = x_k* A x_k
     scaled = kernels.mul_batch(
@@ -692,8 +681,7 @@ def decomposition_check(ens: FFEnsemble, c2: FieldElement, a_mat: FFMatrix) -> b
         ctx.red,
         ctx.p,
     ).reshape(n, d, ctx.deg)
-    st = np.ascontiguousarray(scaled.transpose(1, 0, 2))
-    m = kernels.matmul(st, xf, ctx.red, ctx.p)  # sum_k w_k x_k x_k*
+    m = kernels.matmul(scaled.transpose(1, 0, 2), xf, ctx.red, ctx.p)  # sum_k w_k x_k x_k*
     factor = ctx.scalar(2) / c2
     rhs = _scale_array(ctx, m, factor)
     tr = FieldElement(ctx, a_mat.data[np.arange(d), np.arange(d)].sum(axis=0) % ctx.p)
@@ -747,41 +735,67 @@ def gabor_ensemble(p: int, k: int, r: int) -> FFEnsemble:
     return FFEnsemble(ctx, vecs.reshape(d * d, d, ctx.deg), meta)
 
 
+def _rebuilds_gabor(ens: FFEnsemble) -> bool:
+    """True when gabor_ensemble(p, k, r) from the metadata reproduces ens exactly."""
+    meta, d = ens.metadata, ens.d
+    p, k, r = (meta.get(key) for key in ("p", "k", "r"))
+    if not all(isinstance(v, int) for v in (p, k, r)):
+        return False
+    if (r * r + r + 1, d * d, p, 2 * k) != (d, ens.n, ens.ctx.p, ens.ctx.deg):
+        return False
+    try:
+        ref = gabor_ensemble(p, k, r)
+    except (DivisibilityViolated, NotPrimePower):
+        return False
+    same_meta = all(ref.metadata[key] == meta.get(key) for key in ("D", "alpha", "omega"))
+    return ref.ctx is ens.ctx and same_meta and np.array_equal(ref.data, ens.data)
+
+
 def structural_gabor_verify(ens: FFEnsemble) -> EtfCheck:
     """ETF verification from the d^2 canonical products of a Gabor ensemble.
 
     Any two ensemble vectors have inner product omega^j * <1_D, M^a T^b 1_D>
     for some shift (a, b) and integer j, and omega^(q+1) = 1 because the
     vector length divides q + 1 — so the (q+1)-power of every pair value is
-    already among the canonical ones.  Tightness is still checked exactly
-    on the full frame operator.
+    already among the canonical ones.  That argument holds only for the
+    construction itself, so the metadata must rebuild the data exactly
+    (same field, D, alpha and omega, equal vectors; the rebuild is not
+    kept), else MetadataMissing is raised.  Tightness is still checked
+    exactly on the full frame operator.
     """
-    meta = ens.metadata
-    if meta.get("kind") != "gabor":
+    if ens.metadata.get("kind") != "gabor":
         raise MetadataMissing("structural verification needs Gabor metadata")
-    ctx = ens.ctx
-    d = ens.d
-    q = meta["p"] ** meta["k"]
-    if (q + 1) % d != 0:
-        raise OrderHypothesisFails(f"d = {d} does not divide q + 1")
-    omega: FieldElement = meta["omega"]
-    if omega**d != ctx.one():
-        raise OrderHypothesisFails("metadata omega does not have order d")
-    for ell in _trial_prime_factors(d):
-        if omega ** (d // ell) == ctx.one():
-            raise OrderHypothesisFails("metadata omega has order properly dividing d")
-    n = ens.n
-    ips = _pair_inner(ens, np.zeros(n, dtype=np.int64), np.arange(n, dtype=np.int64))
+    if not _rebuilds_gabor(ens):
+        raise MetadataMissing("Gabor metadata does not rebuild the ensemble's data")
+    ctx, n = ens.ctx, ens.n
+    ips = _memoized(
+        ens, "canonical", lambda: _pair_inner(ens, np.zeros(n, dtype=np.int64), np.arange(n))
+    )
     a = FieldElement(ctx, ips[0])
     vals = _norm_values(ens, ips[1:])
     b = FieldElement(ctx, vals[0])
     bad = np.nonzero(np.any(vals != vals[0], axis=1))[0]
+    method = "structural-gabor"
     if bad.size:
-        return EtfCheck(None, ("angle", 0, int(bad[0]) + 1))
+        return EtfCheck(None, ("angle", 0, int(bad[0]) + 1), method)
     c = check_tight_frame(ens)
     if c is None:
-        return EtfCheck(None, ("tightness", 0, 0))
-    return EtfCheck((a, b, c))
+        return EtfCheck(None, ("tightness", 0, 0), method)
+    return EtfCheck((a, b, c), method=method)
+
+
+def verify_etf(ens: FFEnsemble) -> EtfCheck:
+    """ETF verification by the cheapest sound route, named in the result's method.
+
+    The structural route when Gabor metadata rebuilds the data, the full
+    Gram (`check_etf`) for every other ensemble.
+    """
+    if ens.metadata.get("kind") == "gabor":
+        try:
+            return structural_gabor_verify(ens)
+        except MetadataMissing:
+            pass
+    return check_etf(ens)
 
 
 def harmonic_etf(ctx: FieldCtx, ds: DifferenceSet) -> FFEnsemble:

@@ -139,7 +139,8 @@ def backend() -> str:
 
 
 def _as_i64(a):
-    return np.ascontiguousarray(a, dtype=np.int64)
+    # no forced layout: each kernel makes its own float copy in the order it needs
+    return np.asarray(a, dtype=np.int64)
 
 
 def mul_batch(a, b, red, p):

@@ -5,8 +5,9 @@ import importlib.resources as resources
 import numpy as np
 import pytest
 
-from designforge.ffcore import build_field
-from designforge.ffdesigns import FFEnsemble, harmonic_etf, singer_difference_set
+from designforge.ffcore import build_field, frobenius
+from designforge.fflinalg import herm_inner
+from designforge.ffdesigns import FFEnsemble, gabor_ensemble, harmonic_etf, singer_difference_set
 from designforge.io import load_design
 
 
@@ -27,6 +28,29 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance gate")
     for num, ok in sorted(ACCEPTANCE_RESULTS):
         terminalreporter.write_line(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'}")
+
+
+def forged_gabor_d13():
+    """gabor_ensemble(2, 6, 3) with x_1, x_2 mixed; metadata and frame operator kept.
+
+    y_1 = u x_1 + v x_2 and y_2 = conj(v) x_1 + conj(u) x_2 with
+    rho = <x_0, x_1> conj(<x_0, x_2>), t = N(v) not in {0, 1},
+    z = (t + t^2)^(q/2) for q = 64 and u = z / (conj(v) rho).  Every
+    N(<x_0, y>) and the frame operator stay those of the genuine ensemble, so
+    the canonical products cannot tell, yet the full Gram finds
+    ("angle", 1, 13).
+    """
+    ens = gabor_ensemble(2, 6, 3)
+    ctx = ens.ctx
+    x1, x2 = ens.vector(1), ens.vector(2)
+    rho = herm_inner(ens.vector(0), x1) * frobenius(herm_inner(ens.vector(0), x2))
+    v = next(e for e in ctx.elements() if not e.is_zero() and e * frobenius(e) != ctx.one())
+    t = v * frobenius(v)
+    u = (t + t * t) ** 32 / (frobenius(v) * rho)
+    data = ens.data.copy()
+    for row, (s, w) in ((1, (u, v)), (2, (frobenius(v), frobenius(u)))):
+        data[row] = [(s * x1[i] + w * x2[i]).coeffs for i in range(ens.d)]
+    return FFEnsemble(ctx, data, ens.metadata)
 
 
 @pytest.fixture(scope="session")

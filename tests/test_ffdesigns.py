@@ -5,6 +5,7 @@ import pytest
 
 from designforge.ffcore import OrderDoesNotDivide, build_field, frobenius
 from designforge.fflinalg import BudgetExceeded, EvenCharacteristic, FFMatrix, FFVector
+from designforge import ffdesigns
 from designforge.ffdesigns import (
     DifferenceSet,
     FFEnsemble,
@@ -28,8 +29,11 @@ from designforge.ffdesigns import (
     singer_difference_set,
     structural_gabor_verify,
     verify_difference_set,
+    verify_etf,
 )
 from designforge.ffdesigns import DivisibilityViolated
+
+from conftest import forged_gabor_d13
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +198,7 @@ def test_certify_f9(f9):
     assert cert.etf == (ctx.zero(), ctx.one(), ctx.zero())
     assert cert.failures == []
     assert "psi-route agrees" in cert.cross_checks
+    assert certify_tight_2design(f9) == cert  # again from the ensemble's memo
 
 
 def test_certify_failure_modes(f9):
@@ -306,3 +311,88 @@ def test_param_search_rows_satisfy_divisibility():
         # k is minimal
         assert all((row.p**k + 1) % d != 0 for k in range(1, row.k))
         assert row.design == (row.p > 3)
+
+
+# ---------------------------------------------------------------------------
+# route choice and forged metadata
+# ---------------------------------------------------------------------------
+
+
+def test_verify_etf_rejects_gabor_forgery():
+    forged = forged_gabor_d13()
+    with pytest.raises(MetadataMissing):
+        structural_gabor_verify(forged)
+    res = verify_etf(forged)
+    assert not res
+    assert res.method == "full-gram"
+    assert res.counterexample == ("angle", 1, 13)
+    cert = certify_tight_2design(forged)
+    assert cert.method == "parameter-conditions"
+    assert cert.etf is None and not cert.is_design
+    assert cert.failures == ["not an ETF: counterexample ('angle', 1, 13)"]
+
+
+def test_verify_etf_takes_structural_route_on_genuine_gabor():
+    ens = gabor_ensemble(2, 6, 3)
+    ctx = ens.ctx
+    res = verify_etf(ens)
+    assert res.method == "structural-gabor"
+    assert res.params == (ctx.zero(), ctx.one(), ctx.zero())
+    assert certify_tight_2design(ens).method == "structural-gabor"
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("omega", lambda meta: meta["omega"] ** 2),  # also of order 13
+        ("alpha", lambda meta: meta["alpha"] ** 2),
+        ("D", [0, 1, 3, 8]),
+        ("r", 4),
+        ("p", 3),
+        ("k", 5),
+        ("k", "6"),
+        ("r", None),
+    ],
+)
+def test_metadata_that_does_not_rebuild_the_data_gets_full_gram(key, value):
+    ens = gabor_ensemble(2, 6, 3)
+    ctx = ens.ctx
+    meta = dict(ens.metadata)
+    meta[key] = value(meta) if callable(value) else value
+    relabelled = FFEnsemble(ctx, ens.data, meta)
+    with pytest.raises(MetadataMissing):
+        structural_gabor_verify(relabelled)
+    res = verify_etf(relabelled)
+    assert res.method == "full-gram"
+    assert res.params == (ctx.zero(), ctx.one(), ctx.zero())
+    assert certify_tight_2design(relabelled).method == "parameter-conditions"
+
+
+# ---------------------------------------------------------------------------
+# per-ensemble memo
+# ---------------------------------------------------------------------------
+
+
+def test_ensemble_data_is_read_only(f9):
+    with pytest.raises(ValueError):
+        f9.data[0, 0, 0] = 1
+
+
+def test_conjugate_computed_once_per_ensemble(monkeypatch):
+    ens = gabor_ensemble(2, 6, 3)
+    on_data = []
+    real = ffdesigns.frobenius_array
+
+    def counting(ctx, arr):
+        on_data.append(arr is ens.data)
+        return real(ctx, arr)
+
+    monkeypatch.setattr(ffdesigns, "frobenius_array", counting)
+    res = structural_gabor_verify(ens)
+    cert = certify_tight_2design(ens)
+    a, b, _ = res.params
+    assert gram_sample_check(ens, a, b, pairs=500)
+    assert sum(on_data) == 1
+    assert structural_gabor_verify(ens) == res
+    assert certify_tight_2design(ens) == cert
+    assert check_tight_frame(ens) == check_tight_frame(ens) == res.params[2]

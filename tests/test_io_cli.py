@@ -12,7 +12,7 @@ from designforge.cdesigns import CEnsemble, mub_ensemble, sic_catalog
 from designforge.ffdesigns import gabor_ensemble, singer_difference_set
 from designforge.qdesigns import QEnsemble, check_tight_q_design, simplex_design_d2
 
-from conftest import fixture_path
+from conftest import fixture_path, forged_gabor_d13
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +276,33 @@ def test_cli_verify_failing_claim_still_writes_certificate(tmp_path, capsys):
     cert = io.load_json(default_cert)
     assert cert["claims"][0]["ok"] is False
     assert any("even characteristic" in s for s in cert["claims"][0]["failures"])
+
+
+def test_cli_rejects_forged_gabor_file(tmp_path, capsys):
+    f = str(tmp_path / "forged.json")
+    io.save_design(f, forged_gabor_d13())
+    cert_path = str(tmp_path / "forged.cert.json")
+    code, out = _run(capsys, ["verify", f, "--claims", "etf,design", "--cert", cert_path])
+    assert code == 1
+    assert "etf: FAILED" in out and "design: FAILED" in out
+    by_name = {c["name"]: c for c in io.load_json(cert_path)["claims"]}
+    assert by_name["etf"]["method"] == "full-gram"
+    assert by_name["etf"]["counterexample"] == ["angle", 1, 13]
+    assert by_name["design"]["method"] == "parameter-conditions"
+
+
+def test_cli_swapped_omega_is_not_verified_structurally(tmp_path, capsys):
+    f = str(tmp_path / "g.json")
+    _run(capsys, ["construct", "gabor", "--p", "2", "--k", "6", "--r", "3", "--out", f])
+    ens, doc = io.load_design(f)
+    doc["metadata"]["omega"] = {"element": (ens.metadata["omega"] ** 2).coeffs.tolist()}
+    io.save_json(f, doc)
+    cert_path = str(tmp_path / "g.cert.json")
+    code, _ = _run(capsys, ["verify", f, "--claims", "etf", "--cert", cert_path])
+    assert code == 0
+    (etf,) = io.load_json(cert_path)["claims"]
+    assert etf["method"] == "full-gram"
+    assert etf["values"] == {"a": 0, "b": 1, "c": 0}
 
 
 def test_cli_harmonic_construct_then_verify(tmp_path, capsys):
