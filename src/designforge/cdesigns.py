@@ -22,6 +22,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .ffcore import factorize, is_prime
+
 DEFAULT_TOL = 1e-9
 CERT_TOL = 1e-12
 
@@ -196,10 +198,6 @@ class Channel:
             raise ValueError("no Kraus representation")
         s = sum(r.conj().T @ r for r in self.kraus)
         return float(np.max(np.abs(s - np.eye(self.d_in))))
-
-
-def choi(ch: Channel) -> np.ndarray:
-    return ch.choi()
 
 
 def depolarizing_channel(d: int) -> Channel:
@@ -482,26 +480,8 @@ def caratheodory_prune(
 # ---------------------------------------------------------------------------
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    for c in range(2, int(m**0.5) + 1):
-        if m % c == 0:
-            return False
-    return True
-
-
 def _is_prime_power(m: int) -> bool:
-    if m < 2:
-        return False
-    p = m
-    for c in range(2, int(m**0.5) + 1):
-        if m % c == 0:
-            p = c
-            break
-    while m % p == 0:
-        m //= p
-    return m == 1
+    return m >= 2 and len(factorize(m)) == 1
 
 
 def mub_ensemble(d: int) -> CEnsemble:
@@ -525,7 +505,7 @@ def mub_ensemble(d: int) -> CEnsemble:
             dtype=np.complex128,
         )
         return CEnsemble(vecs)
-    if not _is_prime(d):
+    if not is_prime(d):
         raise UnsupportedDimension(
             f"MUB catalog covers d = 2 and odd primes, not d = {d}"
         )
@@ -617,17 +597,13 @@ def ebr_bound_table(d: int, k_max: int = 8) -> List[EbrBound]:
             out.append(EbrBound(d, k * d * d + 2 * d, f"k d^2 + 2d (k = {k})", False))
             break
     if _is_prime_power(d + 1):
-        p = d + 1
-        for c in range(2, int(p**0.5) + 1):
-            if p % c == 0:
-                p = c
-                break
+        (p,) = factorize(d + 1)
         out.append(EbrBound(d, d * d + (p + 1) * d, "d^2 + (p+1) d, d+1 = p^s", False))
     if d >= 2 and _is_prime_power(d - 1):
         out.append(EbrBound(d, d * d + 1, "d^2 + 1, d-1 prime power", False))
     if _is_prime_power(d):
         out.append(EbrBound(d, d * d + d - 1, "d^2 + d - 1, d prime power", False))
-        constructive = d == 2 or _is_prime(d)
+        constructive = d == 2 or is_prime(d)
         out.append(EbrBound(d, d * d + d, "d^2 + d, d prime power", constructive))
     if d in (2, 3):
         out.append(EbrBound(d, d * d, "d^2, tight design known", True))

@@ -15,6 +15,7 @@ work the same way with the r-power map.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Iterator, Optional
 
 import numpy as np
@@ -112,36 +113,6 @@ def _poly_gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return a
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
-
-
-def _prime_factors_of_degree(k: int) -> list:
-    out = []
-    m = k
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def _frobenius_matrix(f: np.ndarray, p: int) -> np.ndarray:
     """Matrix of e -> e^p on F_p[x]/(f) in the coefficient basis (columns)."""
     k = len(f) - 1
@@ -191,7 +162,7 @@ def _is_irreducible(f: np.ndarray, p: int) -> bool:
     top = _mat_pow_mod(mp, k, p) @ x_vec % p
     if not np.array_equal(top, x_vec):
         return False
-    for ell in _prime_factors_of_degree(k):
+    for ell in sorted(factorize(k)):
         m = k // ell
         v = _mat_pow_mod(mp, m, p) @ x_vec % p
         diff = (v - x_vec) % p
@@ -204,7 +175,7 @@ def _is_irreducible(f: np.ndarray, p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# integer factorization (trial division + Pollard rho with an iteration budget)
+# primality (Miller-Rabin) and factorization (trial division, budgeted Pollard rho)
 # ---------------------------------------------------------------------------
 
 _TRIAL_LIMIT = 100_000
@@ -212,7 +183,8 @@ _RHO_ROUNDS = 64
 _RHO_ITER_BUDGET = 1 << 22
 
 
-def _miller_rabin(n: int) -> bool:
+def is_prime(n: int) -> bool:
+    """Miller-Rabin on the first 12 prime bases: exact for every n < 3.1e23."""
     if n < 2:
         return False
     for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -247,7 +219,7 @@ def _pollard_rho(n: int) -> Optional[int]:
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
-            d = _gcd(abs(x - y), n)
+            d = math.gcd(x - y, n)
             count += 1
             if count > _RHO_ITER_BUDGET:
                 d = 1
@@ -255,12 +227,6 @@ def _pollard_rho(n: int) -> Optional[int]:
         if d != 1 and d != n:
             return d
     return None
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def factorize(n: int) -> dict:
@@ -281,7 +247,7 @@ def factorize(n: int) -> dict:
         m = stack.pop()
         if m == 1:
             continue
-        if _miller_rabin(m):
+        if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
         split = _pollard_rho(m)
@@ -478,22 +444,6 @@ class FieldCtx:
         for n in range(self.order):
             yield self.from_int(n)
 
-    def arith(self, op: str, a: FieldElement, b: Optional[FieldElement] = None) -> FieldElement:
-        """String-dispatched arithmetic: add, sub, mul, div, neg, inv."""
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        if op == "div":
-            return a / b
-        if op == "neg":
-            return -a
-        if op == "inv":
-            return a.inverse()
-        raise ValueError(f"unknown op {op!r}")
-
     # -- Frobenius machinery -------------------------------------------------
 
     def frob_p_matrix(self) -> np.ndarray:
@@ -539,7 +489,7 @@ class FieldCtx:
 @functools.lru_cache(maxsize=None)
 def build_field(p: int, k: int) -> FieldCtx:
     """Construct F_{p^k} with the deterministic smallest-enumeration modulus."""
-    if not isinstance(p, int) or not _is_prime(p):
+    if not isinstance(p, int) or not is_prime(p):
         raise NonPrimeModulus(f"{p} is not prime")
     if k < 1:
         raise DegreeZero(f"extension degree must be >= 1, got {k}")
@@ -558,7 +508,7 @@ def build_field(p: int, k: int) -> FieldCtx:
     # The first run is the binomials x^k + c0.  Some x^k - a is irreducible
     # only if every prime factor of k divides p - 1 and p = 1 mod 4 when
     # 4 | k (Lidl-Niederreiter, Thm 3.75); otherwise that run is skipped.
-    binomials = all((p - 1) % r == 0 for r in _prime_factors_of_degree(k))
+    binomials = all((p - 1) % r == 0 for r in factorize(k))
     binomials = binomials and (k % 4 != 0 or p % 4 == 1)
     pts = np.arange(p, dtype=np.int64)
     for upper in range(0 if binomials else 1, p ** (k - 1)):

@@ -33,6 +33,7 @@ from .ffcore import (
     FieldCtx,
     FieldElement,
     build_field,
+    factorize,
     frobenius,
     primitive_element,
     root_of_unity,
@@ -134,31 +135,16 @@ def verify_difference_set(modulus: int, elements: Sequence[int]) -> int:
     return lam
 
 
-def _prime_power_split(r: int) -> Tuple[int, int]:
-    if r < 2:
-        raise NotPrimePower(f"{r} is not a prime power")
-    p = r
-    for cand in range(2, int(r**0.5) + 1):
-        if r % cand == 0:
-            p = cand
-            break
-    e = 0
-    m = r
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise NotPrimePower(f"{r} is not a prime power")
-    return p, e
-
-
 def singer_difference_set(r: int) -> DifferenceSet:
     """Planar difference set mod r^2+r+1 from the trace-zero points of PG(2,r).
 
     Canonical form: translated so that 0 is a member and the sorted tuple is
     lexicographically least among all translates.
     """
-    p0, e = _prime_power_split(r)
+    factors = factorize(r)
+    if len(factors) != 1:
+        raise NotPrimePower(f"{r} is not a prime power")
+    ((p0, e),) = factors.items()
     d = r * r + r + 1
     ctx = build_field(p0, 3 * e)
     beta = primitive_element(ctx)
@@ -297,7 +283,7 @@ def _tight_constant(ens: FFEnsemble, subspace: Optional[np.ndarray]):
     i, j = pos[0]
     pe = FieldElement(ctx, proj[i, j])
     c = FieldElement(ctx, s[i, j]) / pe
-    expected = _scale_array(ctx, proj, c)
+    expected = kernels.mul_batch(proj, c.coeffs, ctx.red, ctx.p)
     if not np.array_equal(s, expected):
         return None
     if c.is_zero():
@@ -308,12 +294,6 @@ def _tight_constant(ens: FFEnsemble, subspace: Optional[np.ndarray]):
         if rank(ctx, ens.data, max_pivots=dim) != dim:
             return None  # vectors do not span
     return c
-
-
-def _scale_array(ctx: FieldCtx, arr: np.ndarray, c: FieldElement) -> np.ndarray:
-    flat = arr.reshape(-1, ctx.deg)
-    tile = np.broadcast_to(c.coeffs, flat.shape)
-    return kernels.mul_batch(flat, tile, ctx.red, ctx.p).reshape(arr.shape)
 
 
 def check_vanishing_bound(ens: FFEnsemble) -> bool:
@@ -423,33 +403,19 @@ def _hermitian_coordinates(ens: FFEnsemble) -> np.ndarray:
     fixed generator of F_{q^2} over F_q) — d^2 coordinates total, each lying
     in the subfield, so ranks over F_q equal ranks computed in the big field.
     """
-    ctx = ens.ctx
-    n, d = ens.n, ens.d
+    ctx, d = ens.ctx, ens.d
     alpha = primitive_element(ctx)
     denom = (alpha - frobenius(alpha)).inverse()
-    xs = ens.data
-    xf = _conjugate(ens)
+    # rank-one matrices x_k x_k*, entry (i, j) = x[i] frob(x[j])
+    xx = kernels.mul_batch(ens.data[:, :, None], _conjugate(ens)[:, None], ctx.red, ctx.p)
     iu, ju = np.triu_indices(d, k=1)
-    # off-diagonal entries e = x[i] frob(x[j]) for every vector
-    left = xs[:, iu, :].reshape(-1, ctx.deg)
-    right = xf[:, ju, :].reshape(-1, ctx.deg)
-    e = kernels.mul_batch(left, right, ctx.red, ctx.p)
-    ef = frobenius_array(ctx, e)
-    diff = (e - ef) % ctx.p
-    v = kernels.mul_batch(
-        diff, np.broadcast_to(denom.coeffs, diff.shape), ctx.red, ctx.p
-    )
-    u = (e - kernels.mul_batch(v, np.broadcast_to(alpha.coeffs, v.shape), ctx.red, ctx.p)) % ctx.p
+    e = xx[:, iu, ju]  # off-diagonal entries e = u + alpha v
+    diff = (e - frobenius_array(ctx, e)) % ctx.p
+    v = kernels.mul_batch(diff, denom.coeffs, ctx.red, ctx.p)
+    u = (e - kernels.mul_batch(v, alpha.coeffs, ctx.red, ctx.p)) % ctx.p
     # diagonal entries x[i] frob(x[i]) are already in F_q
-    diag = kernels.mul_batch(
-        xs.reshape(-1, ctx.deg), xf.reshape(-1, ctx.deg), ctx.red, ctx.p
-    ).reshape(n, d, ctx.deg)
-    m = len(iu)
-    coords = np.zeros((n, d * d, ctx.deg), dtype=np.int64)
-    coords[:, :d] = diag
-    coords[:, d : d + m] = u.reshape(n, m, ctx.deg)
-    coords[:, d + m :] = v.reshape(n, m, ctx.deg)
-    return coords
+    diag = xx[:, np.arange(d), np.arange(d)]
+    return np.concatenate([diag, u, v], axis=1)
 
 
 def check_gerzon(
@@ -485,9 +451,7 @@ def check_gerzon(
         if unique:
             # scale so the first entry is 1; the dependency must be all-ones
             lead = FieldElement(ctx, ns[0, 0]).inverse()
-            scaled = kernels.mul_batch(
-                ns[0], np.broadcast_to(lead.coeffs, ns[0].shape), ctx.red, ctx.p
-            )
+            scaled = kernels.mul_batch(ns[0], lead.coeffs, ctx.red, ctx.p)
             unique = bool(np.all(scaled == ctx.one().coeffs))
         report.unique_dependency = unique
     else:
@@ -503,12 +467,9 @@ def check_gerzon(
 
 def _lifted_vectors(ens: FFEnsemble) -> np.ndarray:
     """x_k (x) x_k as an (n, d^2, K) array."""
-    ctx = ens.ctx
-    n, d = ens.n, ens.d
-    left = np.repeat(ens.data, d, axis=1).reshape(-1, ctx.deg)
-    right = np.tile(ens.data, (1, d, 1)).reshape(-1, ctx.deg)
-    out = kernels.mul_batch(left, right, ctx.red, ctx.p)
-    return out.reshape(n, d * d, ctx.deg)
+    ctx, x = ens.ctx, ens.data
+    out = kernels.mul_batch(x[:, :, None], x[:, None], ctx.red, ctx.p)
+    return out.reshape(ens.n, ens.d**2, ctx.deg)
 
 
 def _sym_span_ok(ens: FFEnsemble, lifted: np.ndarray) -> bool:
@@ -531,7 +492,7 @@ def check_2design_naive(
     t = kernels.matmul(lifted.transpose(1, 0, 2), lf, ctx.red, ctx.p)
     pi = sym_projector(ctx, d)
     c2 = FieldElement(ctx, t[0, 0])  # Pi[(0,0),(0,0)] = 1
-    if not np.array_equal(t, _scale_array(ctx, pi.data, c2)):
+    if not np.array_equal(t, kernels.mul_batch(pi.data, c2.coeffs, ctx.red, ctx.p)):
         return None
     if c2.is_zero() and not _sym_span_ok(ens, lifted):
         return None
@@ -544,8 +505,8 @@ def check_2design_psi(
     """Blockwise route via the map A -> sum_k (x_k* A x_k) x_k x_k*.
 
     On the matrix units the map must return (c2/2)(e_j e_i* + delta_ij I).
-    Mathematically equivalent to the dense route but organized as d^2 small
-    blocks, and cheaper on ensembles with structured zeros.
+    Mathematically equivalent to the dense route and organized as d^2
+    blocks; the cost is the same (d^2, n) @ (n, d^2) product.
     """
     ctx = ens.ctx
     if ctx.p == 2:
@@ -553,12 +514,10 @@ def check_2design_psi(
     n, d = ens.n, ens.d
     if n * d**4 > budget:
         raise BudgetExceeded(f"psi route cost n d^4 = {n * d ** 4} over budget")
-    xf = _conjugate(ens)
     # X[k, i*d+j] = x_k[i] frob(x_k[j]) — both the blocks' coefficients and
     # the rank-one matrices themselves
-    left = np.repeat(ens.data, d, axis=1).reshape(-1, ctx.deg)
-    right = np.tile(xf, (1, d, 1)).reshape(-1, ctx.deg)
-    x = kernels.mul_batch(left, right, ctx.red, ctx.p).reshape(n, d * d, ctx.deg)
+    x = kernels.mul_batch(ens.data[:, :, None], _conjugate(ens)[:, None], ctx.red, ctx.p)
+    x = x.reshape(n, d * d, ctx.deg)
     psi = kernels.matmul(x.transpose(1, 0, 2), x, ctx.red, ctx.p)  # (d^2, d^2, K)
     if d == 1:
         c2 = FieldElement(ctx, psi[0, 0])
@@ -669,21 +628,15 @@ def decomposition_check(ens: FFEnsemble, c2: FieldElement, a_mat: FFMatrix) -> b
     """Audit the reconstruction A = (2/c2) sum_k x_k x_k* A x_k x_k* - tr(A) I."""
     if c2.is_zero():
         raise ZeroC2("reconstruction needs c2 != 0")
-    ctx = ens.ctx
-    n, d = ens.n, ens.d
+    ctx, d = ens.ctx, ens.d
     xs = ens.data
     xf = _conjugate(ens)
     t1 = kernels.matmul(xf, a_mat.data, ctx.red, ctx.p)  # (n, d, K)
     w = kernels.dot_batch(t1, xs, ctx.red, ctx.p)  # w_k = x_k* A x_k
-    scaled = kernels.mul_batch(
-        np.repeat(w, d, axis=0),
-        xs.reshape(n * d, ctx.deg),
-        ctx.red,
-        ctx.p,
-    ).reshape(n, d, ctx.deg)
+    scaled = kernels.mul_batch(w[:, None], xs, ctx.red, ctx.p)
     m = kernels.matmul(scaled.transpose(1, 0, 2), xf, ctx.red, ctx.p)  # sum_k w_k x_k x_k*
     factor = ctx.scalar(2) / c2
-    rhs = _scale_array(ctx, m, factor)
+    rhs = kernels.mul_batch(m, factor.coeffs, ctx.red, ctx.p)
     tr = FieldElement(ctx, a_mat.data[np.arange(d), np.arange(d)].sum(axis=0) % ctx.p)
     rhs[np.arange(d), np.arange(d)] = (
         rhs[np.arange(d), np.arange(d)] - tr.coeffs[None, :]

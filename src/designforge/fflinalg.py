@@ -145,11 +145,8 @@ class FFMatrix:
     def scale(self, s: FieldElement) -> "FFMatrix":
         if s.ctx is not self.ctx:
             raise ContextMismatch("scalar from a different field context")
-        r, c, k = self.data.shape
-        flat = self.data.reshape(r * c, k)
-        tile = np.broadcast_to(s.coeffs, (r * c, k))
-        out = kernels.mul_batch(flat, tile, self.ctx.red, self.ctx.p)
-        return FFMatrix(self.ctx, out.reshape(r, c, k))
+        out = kernels.mul_batch(self.data, s.coeffs, self.ctx.red, self.ctx.p)
+        return FFMatrix(self.ctx, out)
 
     def entry(self, i: int, j: int) -> FieldElement:
         return FieldElement(self.ctx, self.data[i, j])
@@ -191,12 +188,7 @@ def outer(x: FFVector, y: Optional[FFVector] = None) -> FFMatrix:
         y = x
     ctx = x.ctx
     yf = frobenius_array(ctx, y.data)
-    a, b = len(x), len(y)
-    k = ctx.deg
-    left = np.repeat(x.data, b, axis=0)
-    right = np.tile(yf, (a, 1))
-    out = kernels.mul_batch(left, right, ctx.red, ctx.p)
-    return FFMatrix(ctx, out.reshape(a, b, k))
+    return FFMatrix(ctx, kernels.mul_batch(x.data[:, None], yf, ctx.red, ctx.p))
 
 
 def tensor_vec(x: FFVector, y: FFVector) -> FFVector:
@@ -204,11 +196,8 @@ def tensor_vec(x: FFVector, y: FFVector) -> FFVector:
     if x.ctx is not y.ctx:
         raise ContextMismatch("vectors belong to different field contexts")
     ctx = x.ctx
-    a, b = len(x), len(y)
-    left = np.repeat(x.data, b, axis=0)
-    right = np.tile(y.data, (a, 1))
-    out = kernels.mul_batch(left, right, ctx.red, ctx.p)
-    return FFVector(ctx, out)
+    out = kernels.mul_batch(x.data[:, None], y.data, ctx.red, ctx.p)
+    return FFVector(ctx, out.reshape(-1, ctx.deg))
 
 
 def tensor_mat(a: FFMatrix, b: FFMatrix) -> FFMatrix:
@@ -217,12 +206,9 @@ def tensor_mat(a: FFMatrix, b: FFMatrix) -> FFMatrix:
         raise ContextMismatch("matrices belong to different field contexts")
     ctx = a.ctx
     (r1, c1), (r2, c2) = a.shape, b.shape
-    k = ctx.deg
-    left = np.repeat(a.data.reshape(r1 * c1, k), r2 * c2, axis=0)
-    right = np.tile(b.data.reshape(r2 * c2, k), (r1 * c1, 1))
-    prod = kernels.mul_batch(left, right, ctx.red, ctx.p)
-    prod = prod.reshape(r1, c1, r2, c2, k).transpose(0, 2, 1, 3, 4)
-    return FFMatrix(ctx, prod.reshape(r1 * r2, c1 * c2, k))
+    # prod[i1, i2, j1, j2] = a[i1, j1] * b[i2, j2]
+    prod = kernels.mul_batch(a.data[:, None, :, None], b.data[:, None], ctx.red, ctx.p)
+    return FFMatrix(ctx, prod.reshape(r1 * r2, c1 * c2, ctx.deg))
 
 
 def trace(m: FFMatrix) -> FieldElement:
@@ -275,12 +261,6 @@ def sym_projector(ctx: FieldCtx, d: int, max_dim: int = SYM_PROJECTOR_MAX_DIM) -
 # ---------------------------------------------------------------------------
 
 
-def _normalize_row(ctx: FieldCtx, row: np.ndarray, pivot_entry: np.ndarray) -> np.ndarray:
-    inv = FieldElement(ctx, pivot_entry).inverse()
-    tile = np.broadcast_to(inv.coeffs, row.shape)
-    return kernels.mul_batch(row, tile, ctx.red, ctx.p)
-
-
 def row_echelon(
     ctx: FieldCtx,
     a: np.ndarray,
@@ -304,7 +284,8 @@ def row_echelon(
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        a[r] = _normalize_row(ctx, a[r], a[r, c])
+        inv = FieldElement(ctx, a[r, c]).inverse()
+        a[r] = kernels.mul_batch(a[r], inv.coeffs, ctx.red, ctx.p)
         others = np.nonzero(np.any(a[:, c, :] != 0, axis=1))[0]
         others = others[others != r]
         if others.size:

@@ -1,16 +1,21 @@
 """Design files, certificates, and canonical JSON.
 
-One JSON schema covers all three settings.  Every writer goes through
-`canonical_dumps` (sorted keys, tight separators, shortest exact float
-repr, trailing newline) so that write -> read -> write is byte-stable; the
-finite-field payloads are pure integers and therefore exact, while complex
-and quaternion payloads round-trip through repr floats losslessly.
+One JSON schema covers the three vector settings and difference sets.
+Every writer goes through `canonical_dumps` (sorted keys, tight
+separators, shortest exact float repr, trailing newline) so that write ->
+read -> write is byte-stable; the finite-field payloads are pure integers
+and therefore exact, while complex and quaternion payloads round-trip
+through repr floats losslessly.
 
     {"format": 1, "setting": "finite" | "complex" | "quaternion",
      "d": ..., "n": ..., "vectors": [...],
      "weights": [...],            # complex only, when non-uniform
      "field": {"p", "k", "modulus"},   # finite only
      "metadata": {...}}           # construction provenance, optional
+
+    {"format": 1, "setting": "difference-set",
+     "modulus": ..., "elements": [...],
+     "lambda": ...}               # written for readers; recomputed on load
 
 Field elements inside metadata are encoded as {"element": [coefficients]}
 and revived against the file's field context on load.

@@ -10,6 +10,12 @@ Each kernel has one implementation in numpy: integer arithmetic for
 ``mul_batch``, float64 products handed to BLAS for the other four, with the
 exactness bounds below checked in code.
 
+``mul_batch`` takes any two (..., K) arrays whose leading axes broadcast
+against each other (numpy rules) and returns an array of the broadcast
+shape.  It forms the (..., 2K-1) convolutions and reduces them as one flat
+(N, 2K-1) batch, so callers pass views (``c``, ``x[:, None]``) rather than
+tiling or flattening their operands.
+
 ``dot_batch``, ``gather_dot``, ``matmul`` and ``elim_update`` are
 built on the (K^2, K) fold matrix, whose row i*K+j is x^(i+j) reduced mod f
 (the unit vector e_(i+j) when i+j < K, else red[i+j-K]); it does the
@@ -144,13 +150,18 @@ def _as_i64(a):
 
 
 def mul_batch(a, b, red, p):
-    """Entrywise products of two batches of field elements: (N,K)x(N,K)->(N,K)."""
+    """Entrywise products of field elements: (...,K)x(...,K) -> (...,K).
+
+    The leading axes broadcast as in numpy, so a scalar multiple is
+    mul_batch(arr, c, ...) and an outer product mul_batch(x[:, None], y, ...).
+    """
     a, b, red = _as_i64(a), _as_i64(b), _as_i64(red)
-    n, k = a.shape
-    conv = np.zeros((n, 2 * k - 1), dtype=np.int64)
+    k = red.shape[1]
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    conv = np.zeros(shape + (2 * k - 1,), dtype=np.int64)
     for i in range(k):
-        conv[:, i : i + k] += a[:, i : i + 1] * b
-    return _reduce(conv, red, p)
+        conv[..., i : i + k] += a[..., i : i + 1] * b
+    return _reduce(conv.reshape(-1, 2 * k - 1), red, p).reshape(shape + (k,))
 
 
 def dot_batch(x, y, red, p):

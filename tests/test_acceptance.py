@@ -19,7 +19,6 @@ from designforge.cdesigns import (
     Channel,
     caratheodory_prune,
     check_weighted_2design,
-    choi,
     depolarizing_channel,
     design_to_kraus,
     kraus_to_design,
@@ -208,7 +207,7 @@ def test_acceptance_05_choi_matches_projector():
     for d in range(2, 9):
         ch = transpose_compose(depolarizing_channel(d))
         target = (2.0 / (d + 1)) * symmetric_projector(d)
-        worst = max(worst, float(np.max(np.abs(choi(ch) - target))))
+        worst = max(worst, float(np.max(np.abs(ch.choi() - target))))
     elapsed = time.perf_counter() - t0
     return worst < 1e-12 and elapsed < 5.0
 

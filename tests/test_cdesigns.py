@@ -17,7 +17,6 @@ from designforge.cdesigns import (
     _moment_coordinates,
     caratheodory_prune,
     check_weighted_2design,
-    choi,
     choi_from_kraus,
     depolarizing_channel,
     design_to_kraus,
@@ -175,7 +174,7 @@ def test_depolarizing_channel():
 
 def test_choi_of_transposed_depolarizing():
     for d in range(2, 9):
-        got = choi(transpose_compose(depolarizing_channel(d)))
+        got = transpose_compose(depolarizing_channel(d)).choi()
         want = (2 / (d + 1)) * symmetric_projector(d)
         assert np.max(np.abs(got - want)) < TOL
 

@@ -6,6 +6,7 @@ import pytest
 from designforge import ffcore
 from designforge.ffcore import (
     MAX_DEGREE,
+    MAX_PRIME,
     ContextMismatch,
     DegreeZero,
     FieldElement,
@@ -19,10 +20,12 @@ from designforge.ffcore import (
     factorize,
     fixed_by_frobenius,
     frobenius,
+    is_prime,
     primitive_element,
     root_of_unity,
     subfield_trace,
 )
+from designforge.ffdesigns import _primes_upto
 
 FIELDS = [(3, 2), (5, 2), (7, 2), (2, 6), (13, 2), (3, 4)]
 
@@ -96,19 +99,6 @@ def test_field_axioms_random():
                 # multiplicative group order
                 assert a ** (ctx.order - 1) == one
                 assert a**-1 == a.inverse()
-
-
-def test_arith_dispatch():
-    ctx = build_field(5, 2)
-    a, b = ctx.from_int(7), ctx.from_int(12)
-    assert ctx.arith("add", a, b) == a + b
-    assert ctx.arith("sub", a, b) == a - b
-    assert ctx.arith("mul", a, b) == a * b
-    assert ctx.arith("div", a, b) == a / b
-    assert ctx.arith("neg", a) == -a
-    assert ctx.arith("inv", a) == a.inverse()
-    with pytest.raises(ValueError):
-        ctx.arith("pow", a, b)
 
 
 def test_zero_inverse_and_context_mixing():
@@ -213,6 +203,17 @@ def test_factorize_known_and_random():
             assert all(prime % d for d in range(2, int(prime**0.5) + 1))
             prod *= prime**exp
         assert prod == n
+
+
+def test_is_prime_matches_sieve_on_supported_range():
+    # every p that build_field accepts: the sieve and Miller-Rabin agree, and
+    # each composite is refused before any field work
+    primes = set(_primes_upto(MAX_PRIME - 1))
+    for n in range(MAX_PRIME):
+        assert is_prime(n) == (n in primes), n
+        if n not in primes:
+            with pytest.raises(NonPrimeModulus):
+                build_field(n, 1)
 
 
 def _first_irreducible_plain(p, k):

@@ -1,8 +1,10 @@
 """Serialization round trips, schema rejection, and the command line surface."""
 
+import importlib.util
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +232,22 @@ def test_fiducial_fixtures_generate_full_designs():
         orbit = sic_from_fiducial(ens.vectors[0])
         assert orbit.n == n
         assert check_weighted_2design(orbit) < 1e-12
+
+
+def test_make_fixtures_regenerates_identical_bytes(tmp_path, monkeypatch):
+    # tools/make_fixtures.py promises byte-stable output; it also runs both
+    # dense 2-design routes on the F_9 quadruple
+    script = Path(__file__).resolve().parent.parent / "tools" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", script)
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    monkeypatch.setattr(make_fixtures, "OUT", str(tmp_path))
+    make_fixtures.main()
+    names = ["NOTES.md", "f9_d2_design.json", "sic_d2_fiducial.json", "sic_d3_fiducial.json"]
+    assert sorted(os.listdir(tmp_path)) == names
+    for name in names:
+        with open(fixture_path(name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
 # ---------------------------------------------------------------------------

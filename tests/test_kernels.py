@@ -231,9 +231,7 @@ def test_elim_update_at_rank_shapes(p, k):
     factors = store[:, 2]
     assert not factors.flags.c_contiguous
     pivot = _rand_elems(rng, ctx, (nc,))
-    left = np.repeat(factors, nc, axis=0)
-    right = np.tile(pivot, (nr, 1))
-    prods = kernels.mul_batch(left, right, ctx.red, ctx.p).reshape(nr, nc, k)
+    prods = kernels.mul_batch(factors[:, None], pivot, ctx.red, ctx.p)
     want = (rows - prods) % ctx.p
     work = rows.copy()
     kernels.elim_update(work, factors, pivot, ctx.red, ctx.p)

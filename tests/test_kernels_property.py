@@ -36,16 +36,37 @@ sizes = st.integers(1, 5)
 PROPERTY = settings(max_examples=25, deadline=None)
 
 
+# leading shapes of mul_batch's two operands; "n" and "m" are drawn sizes
+MUL_SHAPES = [
+    (("n",), ("n",)),  # flat batch
+    (("n", 1), (1, "m")),  # outer product
+    (("n",), ()),  # scalar multiple
+    ((), ("n",)),
+    ((), ()),
+    ((2, 3), (3,)),
+    (("n", 1, "m"), ("m",)),
+    (("n", 1), (0,)),  # empty result
+]
+
+
 @PROPERTY
-@given(fields, seeds, sizes)
-def test_mul_batch_property(field, seed, n):
+@given(fields, seeds, sizes, sizes, st.sampled_from(MUL_SHAPES))
+def test_mul_batch_property(field, seed, n, m, shapes):
     ctx = build_field(*field)
     rng = np.random.default_rng(seed)
-    a = _rand_elems(rng, ctx, (n,))
-    b = _rand_elems(rng, ctx, (n,))
-    want = np.stack([(_as_elem(ctx, a[i]) * _as_elem(ctx, b[i])).coeffs for i in range(n)])
+    sa, sb = (tuple({"n": n, "m": m}.get(s, s) for s in sh) for sh in shapes)
+    a = _rand_elems(rng, ctx, sa)
+    b = _rand_elems(rng, ctx, sb)
+    shape = np.broadcast_shapes(sa, sb)
+    ab = np.broadcast_to(a, shape + (ctx.deg,))
+    bb = np.broadcast_to(b, shape + (ctx.deg,))
+    want = np.zeros(shape + (ctx.deg,), dtype=np.int64)
+    for i in np.ndindex(shape):
+        want[i] = (_as_elem(ctx, ab[i]) * _as_elem(ctx, bb[i])).coeffs
 
-    assert np.array_equal(kernels.mul_batch(a, b, ctx.red, ctx.p), want)
+    got = kernels.mul_batch(a, b, ctx.red, ctx.p)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 @PROPERTY
