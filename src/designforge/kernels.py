@@ -223,7 +223,9 @@ def elim_update(rows, factors, pivot, red, p):
     # row r is factors[r] @ mult; both products sum K products of residues
     mult = _mod_exact(np.einsum("cj,ijt->ict", pivot.astype(np.float64), fold), p)
     prod = factors.astype(np.float64) @ mult.reshape(k, nc * k)
-    rows -= prod.astype(np.int64).reshape(nr, nc, k)
+    # subtract in float64 straight into rows: every value is an integer below
+    # 2^53, and no int64 copy of prod (as large as rows) is made
+    np.subtract(rows, prod.reshape(nr, nc, k), out=rows, casting="unsafe")
     del prod
     # rows % p by floor division: numpy's integer remainder branches on each
     # entry's sign and zeroness, which are mixed here, and ran 3x slower
