@@ -214,7 +214,7 @@ def cmd_verify(args) -> int:
     from .qdesigns import QEnsemble
 
     started = time.time()
-    ens = io.load_design(args.file)[0]  # not the parsed document: it is as large as the data
+    ens = io.load_design(args.file)
     claims = [c.strip() for c in args.claims.split(",") if c.strip()]
     if not claims:
         raise UsageError("no claims requested")
@@ -290,7 +290,7 @@ def cmd_ebr(args) -> int:
     ens = None
     provenance = None
     if args.witness:
-        loaded, _doc = io.load_design(args.witness)
+        loaded = io.load_design(args.witness)
         if not isinstance(loaded, CEnsemble):
             raise UsageError("ebr witness must be a complex design file")
         if loaded.d != d:
@@ -384,7 +384,8 @@ def cmd_export(args) -> int:
     from .ffdesigns import DifferenceSet, FFEnsemble
     from .qdesigns import QEnsemble
 
-    ens, doc = io.load_design(args.file)
+    doc = io.load_json(args.file)
+    ens = io.ensemble_from_design_file(doc)
     if args.format == "json":
         io.save_json(args.out, doc)
         print(f"wrote {args.out}")

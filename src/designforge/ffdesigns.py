@@ -688,8 +688,34 @@ def gabor_ensemble(p: int, k: int, r: int) -> FFEnsemble:
     return FFEnsemble(ctx, vecs.reshape(d * d, d, ctx.deg), meta)
 
 
+_GABOR_KEYS = ("kind", "p", "k", "r", "D", "alpha", "omega")
+
+
+def _frozen(v):
+    """A deep, type-exact image of a metadata value that later mutation cannot reach."""
+    if isinstance(v, (list, tuple)):
+        return type(v), tuple(_frozen(x) for x in v)
+    if isinstance(v, FieldElement):
+        return FieldElement, v.ctx, v.coeffs.tobytes()
+    if v is None or isinstance(v, (bool, int, float, str)):
+        return type(v), v
+    return object(), v  # equal to no later image, so the verdict is never reused
+
+
 def _rebuilds_gabor(ens: FFEnsemble) -> bool:
-    """True when gabor_ensemble(p, k, r) from the metadata reproduces ens exactly."""
+    """True when gabor_ensemble(p, k, r) from the metadata reproduces ens exactly.
+
+    The verdict is memoized with an image of the metadata it read, and
+    computed again once that metadata changes.
+    """
+    seen = _frozen(tuple(ens.metadata.get(key) for key in _GABOR_KEYS))
+    memo = ens._memo.get("rebuilds")
+    if memo is None or memo[0] != seen:
+        memo = ens._memo["rebuilds"] = (seen, _rebuild_matches(ens))
+    return memo[1]
+
+
+def _rebuild_matches(ens: FFEnsemble) -> bool:
     meta, d = ens.metadata, ens.d
     p, k, r = (meta.get(key) for key in ("p", "k", "r"))
     if not all(isinstance(v, int) for v in (p, k, r)):

@@ -19,17 +19,40 @@ through repr floats losslessly.
 
 Field elements inside metadata are encoded as {"element": [coefficients]}
 and revived against the file's field context on load.
+
+`load_design` reads a canonical finite file without parsing its vectors as
+JSON.  Sorted keys put "vectors" last, so such a file ends in
+`,"vectors":[[[...]]]}\n`: only the ASCII head before that key goes
+through `json.loads`, and the integer block is parsed by numpy digit
+arithmetic into one preallocated int64 (n, d, K) array.  Each window's
+non-digit bytes must be exactly the `[[[c,c],[c,c]],[[...` skeleton of the
+shape the head declares, with no sign, fraction, exponent, whitespace,
+leading zero or number over 18 digits.  Any file that fails a check is
+read by `load_json` and `ensemble_from_design_file` instead, so the reader
+changes no result and no error message, only the time: the d = 73 file
+(19.5 MB) loads in 0.4-0.6 s instead of 1.9 s.
+
+The file is mapped with `mmap` and parsed in windows of 64 KiB (about 18
+vectors at d = 73), because the allocation pattern sets the peak RSS of a
+whole `designforge verify` run on that file (365.5-365.8 MB with the json
+path; 2-vCPU Xeon VM, numpy 2.4.6).
+Parsing the block in one window took it to 617 MB.  Reading the file into
+one bytes object gave 342.8 MB: freeing a 19.5 MB buffer raises glibc's
+dynamic mmap threshold, and the verifier's later arrays then land on the
+brk heap.  The mapped file with 16-256 KiB windows gave 336.3-336.7 MB.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Tuple, Union
+import mmap
+import os
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from . import __version__
+from . import __version__, kernels
 from .cdesigns import CEnsemble
 from .ffcore import FieldCtx, FieldElement, build_field
 from .ffdesigns import DifferenceSet, FFEnsemble
@@ -209,9 +232,125 @@ def save_design(path: str, ens: Ensemble) -> Dict[str, Any]:
     return doc
 
 
-def load_design(path: str) -> Tuple[Ensemble, Dict[str, Any]]:
-    doc = load_json(path)
-    return ensemble_from_design_file(doc), doc
+def load_design(path: str) -> Ensemble:
+    """The ensemble a design file describes; see the module docstring for the fast path."""
+    ens = _read_canonical_finite(path)
+    return ens if ens is not None else ensemble_from_design_file(load_json(path))
+
+
+# ---------------------------------------------------------------------------
+# the canonical finite-file reader
+# ---------------------------------------------------------------------------
+
+_VECTORS_KEY = b',"vectors":['
+_TAIL = b"]}\n"
+_BOUNDARY = b"]],[["  # between two vectors, and nowhere else in a well-formed block
+_CHUNK_BYTES = 1 << 16
+_MAX_DIGITS = 18  # every integer of at most 18 digits fits in int64
+
+
+def _read_canonical_finite(path: str) -> Optional[FFEnsemble]:
+    """The ensemble of a canonical finite file, or None for any other file.
+
+    Whenever this returns an ensemble, ensemble_from_design_file(load_json(path))
+    gives an equal one; a file it cannot vouch for is left to that path.
+    """
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size <= len(_VECTORS_KEY) + len(_TAIL):
+            return None
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+            # Sorted keys put "vectors" last, but any occurrence of the key will do: the
+            # head before it must parse as an object, and the rest must be a vectors block
+            key = mm.find(_VECTORS_KEY)
+            if key < 0 or mm[-len(_TAIL):] != _TAIL:
+                return None
+            try:
+                doc = json.loads(mm[:key].decode("ascii") + "}")
+            except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
+                return None
+            shape = _declared_shape(doc)
+            if shape is None:
+                return None
+            vectors = _parse_vectors(mm, key + len(_VECTORS_KEY), len(mm) - len(_TAIL), shape)
+    if vectors is None:
+        return None
+    return ensemble_from_design_file({**doc, "vectors": vectors})
+
+
+def _declared_shape(doc: Any) -> Optional[Tuple[int, int, int]]:
+    """(n, d, K) of a finite head with positive int n, d and field k, else None."""
+    if not isinstance(doc, dict) or doc.get("setting") != "finite":
+        return None
+    fld = doc.get("field")
+    shape = (doc.get("n"), doc.get("d"), fld.get("k") if isinstance(fld, dict) else None)
+    return shape if all(type(v) is int and v > 0 for v in shape) else None
+
+
+def _parse_vectors(mm: mmap.mmap, start: int, end: int, shape) -> Optional[np.ndarray]:
+    """The (n, d, K) array written in mm[start:end] as `V,V,...,V`, or None.
+
+    Each window ends at a vector boundary, so its text is whole vectors.
+    """
+    n, d, k = shape
+    per_vector = d * k
+    if end - start < n * (2 * per_vector + 2 * d + 2) - 1:  # too short even with 1-digit numbers
+        return None  # and nothing is allocated for a shape the file cannot hold
+    # the gap before each number of a vector (`]],[[` before the first), and the
+    # non-digit bytes of one vector; each window is checked against a prefix of these
+    one = b"[[" + b"],[".join([b"," * (k - 1)] * d) + b"]]"
+    most = min(n, max(1, (_CHUNK_BYTES + 1) // (len(one) + per_vector + 1)))
+    gaps = np.tile(np.where(np.arange(per_vector) % k, 1, 3), most)
+    gaps[::per_vector] = 5
+    gaps[0] = 2
+    skeleton = np.frombuffer(b",".join([one] * most), dtype=np.uint8)
+    out = np.empty((n, per_vector), dtype=np.int64)
+    done, pos = 0, start
+    while pos < end:
+        stop = end
+        if end - pos > _CHUNK_BYTES:
+            cut = mm.rfind(_BOUNDARY, pos, pos + _CHUNK_BYTES)
+            if cut < 0:
+                cut = mm.find(_BOUNDARY, pos, end)
+            if cut >= 0:
+                stop = cut + 2
+        nums = _parse_window(mm[pos:stop], per_vector, gaps, skeleton)
+        if nums is None or done + len(nums) > n:
+            return None
+        out[done : done + len(nums)] = nums
+        done += len(nums)
+        pos = stop + 1  # past the ',' that the boundary search matched
+    return out.reshape(n, d, k) if done == n else None
+
+
+def _parse_window(buf: bytes, per_vector: int, gaps, skeleton) -> Optional[np.ndarray]:
+    """The (c, d*K) numbers of c whole vectors written in buf, or None."""
+    u = np.frombuffer(buf, dtype=np.uint8)
+    digit = u - np.uint8(48)  # other bytes wrap to 10 and above
+    isdig = digit < 10
+    if isdig[0] or isdig[-1]:
+        return None
+    edges = np.flatnonzero(isdig[1:] != isdig[:-1]) + 1
+    count = len(edges) // 2
+    if count == 0 or count % per_vector:
+        return None
+    # alternating lengths: non-digit gap, number, gap, ..., number, gap
+    runs = np.diff(edges, prepend=0, append=len(u))
+    lengths = runs[1::2]
+    if (
+        runs[-1] != 2
+        or not np.array_equal(runs[0:-1:2], gaps[:count])
+        or not np.array_equal(u[~isdig], skeleton[: len(u) - int(lengths.sum())])
+    ):
+        return None
+    starts = edges[0::2]
+    nums = digit[starts].astype(np.int64)
+    longest = int(lengths.max())
+    if longest > _MAX_DIGITS or (longest > 1 and np.any((nums == 0) & (lengths > 1))):
+        return None
+    for j in range(1, longest):
+        more = np.flatnonzero(lengths > j)
+        nums[more] = nums[more] * 10 + digit[starts[more] + j]
+    return nums.reshape(-1, per_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +369,11 @@ def make_certificate(input_path: str, claims: list, wall_clock: float) -> Dict[s
         "kind": "certificate",
         "input_sha256": sha256_of_file(input_path),
         "claims": claims,
-        "toolchain": {"package": "designforge", "version": __version__},
+        "toolchain": {
+            "package": "designforge",
+            "version": __version__,
+            "numpy": np.__version__,
+            "kernels": kernels.backend(),
+        },
         "wall_clock_seconds": round(wall_clock, 3),
     }

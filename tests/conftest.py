@@ -55,8 +55,7 @@ def forged_gabor_d13():
 
 @pytest.fixture(scope="session")
 def f9():
-    ens, _ = load_design(fixture_path("f9_d2_design.json"))
-    return ens
+    return load_design(fixture_path("f9_d2_design.json"))
 
 
 def _unit(ctx, d, pos, value=1):

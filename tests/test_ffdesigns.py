@@ -368,6 +368,25 @@ def test_metadata_that_does_not_rebuild_the_data_gets_full_gram(key, value):
     assert certify_tight_2design(relabelled).method == "parameter-conditions"
 
 
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda meta: meta["D"].__setitem__(3, 8),  # inside a list the verdict read
+        lambda meta: meta.update(omega=meta["omega"] ** 2),
+        lambda meta: meta.update(r=4),
+        lambda meta: meta.update(p=2.0),  # an equal value of another type
+        lambda meta: meta.update(kind="harmonic"),
+    ],
+    ids=["D entry", "omega", "r", "p type", "kind"],
+)
+def test_metadata_forged_after_verification_is_not_trusted(forge):
+    ens = gabor_ensemble(2, 6, 3)
+    assert structural_gabor_verify(ens).method == "structural-gabor"
+    forge(ens.metadata)
+    with pytest.raises(MetadataMissing):
+        structural_gabor_verify(ens)
+
+
 # ---------------------------------------------------------------------------
 # per-ensemble memo
 # ---------------------------------------------------------------------------
@@ -388,6 +407,11 @@ def test_conjugate_computed_once_per_ensemble(monkeypatch):
         return real(ctx, arr)
 
     monkeypatch.setattr(ffdesigns, "frobenius_array", counting)
+    rebuilds = []
+    real_gabor = ffdesigns.gabor_ensemble
+    monkeypatch.setattr(
+        ffdesigns, "gabor_ensemble", lambda *a: rebuilds.append(a) or real_gabor(*a)
+    )
     res = structural_gabor_verify(ens)
     cert = certify_tight_2design(ens)
     a, b, _ = res.params
@@ -396,3 +420,4 @@ def test_conjugate_computed_once_per_ensemble(monkeypatch):
     assert structural_gabor_verify(ens) == res
     assert certify_tight_2design(ens) == cert
     assert check_tight_frame(ens) == check_tight_frame(ens) == res.params[2]
+    assert rebuilds == [(2, 6, 3)]

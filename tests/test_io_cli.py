@@ -4,14 +4,19 @@ import importlib.util
 import json
 import math
 import os
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from designforge import cli, io
+from designforge import cli, io, kernels
 from designforge.cdesigns import CEnsemble, mub_ensemble, sic_catalog
-from designforge.ffdesigns import gabor_ensemble, singer_difference_set
+from designforge.ffcore import build_field
+from designforge.ffdesigns import FFEnsemble, gabor_ensemble, singer_difference_set
 from designforge.qdesigns import QEnsemble, check_tight_q_design, simplex_design_d2
 
 from conftest import fixture_path, forged_gabor_d13
@@ -48,7 +53,7 @@ def test_float_repr_round_trips(rng=np.random.default_rng(11)):
 def _stable(tmp_path, ens, name):
     p1 = str(tmp_path / f"{name}.json")
     doc1 = io.save_design(p1, ens)
-    loaded, doc2 = io.load_design(p1)
+    loaded = io.load_design(p1)
     p2 = str(tmp_path / f"{name}.2.json")
     io.save_design(p2, loaded)
     with open(p1, "rb") as fh:
@@ -56,7 +61,7 @@ def _stable(tmp_path, ens, name):
     with open(p2, "rb") as fh:
         b2 = fh.read()
     assert b1 == b2
-    assert doc1 == doc2
+    assert doc1 == io.load_json(p1)
     assert doc1["format"] == 1
     return loaded, doc1
 
@@ -184,6 +189,161 @@ def test_schema_rejects_wrong_quaternion_shape():
 
 
 # ---------------------------------------------------------------------------
+# the canonical finite-file reader against the json path
+# ---------------------------------------------------------------------------
+
+
+def _outcome(read, path):
+    """What reading path gives: the ensemble's contents, or the error raised."""
+    try:
+        ens = read(path)
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+    if isinstance(ens, FFEnsemble):
+        return FFEnsemble, ens.ctx, ens.data.dtype, ens.data.shape, ens.data.tobytes(), ens.metadata
+    if isinstance(ens, CEnsemble):
+        return CEnsemble, ens.vectors.tobytes(), ens.weights.tobytes()
+    raise AssertionError(f"unexpected {type(ens).__name__}")
+
+
+def _json_path(path):
+    return io.ensemble_from_design_file(io.load_json(path))
+
+
+def _same_as_json_path(path):
+    got = _outcome(io.load_design, path)
+    assert got == _outcome(_json_path, path)
+    return got
+
+
+# multi-digit coefficients over F_{101^2}, n = 2, d = 2
+SMALL = np.array([[[7, 0], [100, 1]], [[10, 99], [0, 5]]])
+SMALL_BLOCK = "[[[7,0],[100,1]],[[10,99],[0,5]]]"
+
+
+def _small_text():
+    text = io.canonical_dumps(io.design_file_from_ensemble(FFEnsemble(build_field(101, 2), SMALL)))
+    assert text.endswith(f',"vectors":{SMALL_BLOCK}}}\n')
+    return text
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 4096, 100])
+def test_load_design_reads_canonical_files_as_the_json_path_does(tmp_path, chunk):
+    gabor = str(tmp_path / "gabor.json")
+    io.save_design(gabor, gabor_ensemble(2, 6, 3))
+    small = tmp_path / "small.json"
+    small.write_text(_small_text())
+    names = sorted(os.listdir(fixture_path("")))
+    paths = [fixture_path(name) for name in names if name.endswith(".json")]
+    with mock.patch.object(io, "_CHUNK_BYTES", chunk):  # 100 bytes is less than one d = 13 vector
+        for path in paths + [gabor, str(small)]:
+            assert _same_as_json_path(path)[0] in (FFEnsemble, CEnsemble), path
+        for path in (gabor, str(small), fixture_path("f9_d2_design.json")):
+            assert isinstance(io._read_canonical_finite(path), FFEnsemble), path
+
+
+def _first_vector(text):
+    return lambda t: t.replace("[[[7,0],", text)
+
+
+def _vectors_first(text):
+    doc = json.loads(text)
+    return json.dumps({"vectors": doc.pop("vectors"), **doc}, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize(
+    "edit,expect",
+    [
+        pytest.param(_first_vector("[[[07,0],"), io.SchemaError, id="leading zero"),
+        pytest.param(_first_vector("[[[-7,0],"), io.SchemaError, id="negative"),
+        pytest.param(_first_vector("[[[7.0,0],"), io.SchemaError, id="fraction"),
+        pytest.param(_first_vector("[[[7e2,0],"), io.SchemaError, id="exponent"),
+        pytest.param(_first_vector("[[[7,0,"), io.SchemaError, id="missing bracket"),
+        pytest.param(_first_vector("[[[[7,0],"), io.SchemaError, id="extra bracket"),
+        pytest.param(_first_vector("[[7[,0],"), io.SchemaError, id="digit moved past a bracket"),
+        pytest.param(_first_vector("[[[101,0],"), io.SchemaError, id="value p"),
+        pytest.param(_first_vector("[[[1000000000000000007,0],"), io.SchemaError, id="19 digits"),
+        pytest.param(_first_vector("[[[18446744073709551623,0],"), io.SchemaError, id="2^64 + 7"),
+        pytest.param(lambda t: t.replace('"n":2', '"n":1'), io.SchemaError, id="n = 1"),
+        pytest.param(lambda t: t.replace('"n":2', '"n":3'), io.SchemaError, id="n = 3"),
+        pytest.param(
+            lambda t: t.replace('"n":2', '"n":3').replace(
+                SMALL_BLOCK, SMALL_BLOCK[:-1] + "," + SMALL_BLOCK[1:]
+            ),
+            io.SchemaError,
+            id="n = 3 with four vectors",
+        ),
+        pytest.param(
+            lambda t: t.replace('"n":2', '"n":1000000000000000'), io.SchemaError, id="n = 10^15"
+        ),
+        pytest.param(  # long enough for three vectors of 1-digit numbers
+            lambda t: t.replace('"n":2', '"n":3').replace(
+                SMALL_BLOCK, "[[[100,100],[100,100]],[[100,100],[100,100]]]"
+            ),
+            io.SchemaError,
+            id="n = 3 with two vectors",
+        ),
+        pytest.param(
+            lambda t: t.replace(SMALL_BLOCK, "[[[7,0,1],[100,1,1]],[[10,99,1],[0,5,1]]]"),
+            io.SchemaError,
+            id="K = 3",
+        ),
+        pytest.param(  # digit runs of the gap lengths around non-digit runs that spell the skeleton
+            lambda t: t.replace(SMALL_BLOCK, "[12[[3,456],7[89012,3]]456,[[,],[7,]]89]"),
+            io.SchemaError,
+            id="digits at both ends",
+        ),
+        pytest.param(
+            lambda t: t.replace(',"vectors"', ' "vectors"'), io.SchemaError, id="no comma"
+        ),
+        pytest.param(_first_vector("[[[7, 0],"), FFEnsemble, id="space after a comma"),
+        pytest.param(lambda t: t[:-1] + "\r\n", FFEnsemble, id="crlf"),
+        pytest.param(lambda t: t[:-1], FFEnsemble, id="no newline"),
+        pytest.param(_vectors_first, FFEnsemble, id="vectors not last"),
+    ],
+)
+def test_noncanonical_files_give_the_json_path_result(tmp_path, edit, expect):
+    path = tmp_path / "f.json"
+    path.write_text(edit(_small_text()))
+    for chunk in (1 << 16, 36, 16):  # one window, two vectors in each, one in each
+        with mock.patch.object(io, "_CHUNK_BYTES", chunk):
+            got = _same_as_json_path(str(path))
+            assert got[0] is expect, got
+            if expect is FFEnsemble:
+                assert io._read_canonical_finite(str(path)) is None
+                assert np.array_equal(io.load_design(str(path)).data, SMALL)
+
+
+# (kind, position modulo the block length, byte)
+BLOCK_EDITS = st.tuples(
+    st.sampled_from(["replace", "insert", "delete"]),
+    st.integers(0, 99),
+    st.sampled_from(list(b'0123456789[],-.e "\n')),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(BLOCK_EDITS, min_size=1, max_size=3), chunk=st.sampled_from([1 << 16, 24, 8]))
+def test_mutated_vectors_block_gives_the_json_path_result(edits, chunk):
+    text = _small_text().encode()
+    start = text.rindex(b'"vectors":') + len(b'"vectors":')
+    body = bytearray(text[start:-2])  # the block, without the closing "}\n"
+    for kind, at, byte in edits:
+        at %= len(body) + (kind == "insert")
+        if kind == "replace" and body:
+            body[at] = byte
+        elif kind == "insert":
+            body.insert(at, byte)
+        elif body:
+            del body[at]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(io, "_CHUNK_BYTES", chunk):
+        path = os.path.join(tmp, "m.json")
+        with open(path, "wb") as fh:
+            fh.write(text[:start] + bytes(body) + b"}\n")
+        _same_as_json_path(path)
+
+
+# ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
 
@@ -207,6 +367,8 @@ def test_make_certificate_envelope(tmp_path):
     assert len(cert["input_sha256"]) == 64
     assert cert["claims"] == claims
     assert cert["toolchain"]["package"] == "designforge"
+    assert cert["toolchain"]["numpy"] == np.__version__
+    assert cert["toolchain"]["kernels"] == kernels.backend() == "numpy"
     assert cert["wall_clock_seconds"] == 0.123
 
 
@@ -218,17 +380,17 @@ def test_make_certificate_envelope(tmp_path):
 def test_fixture_files_load(f9):
     assert (f9.n, f9.d) == (4, 2)
     for name, d in [("sic_d2_fiducial.json", 2), ("sic_d3_fiducial.json", 3)]:
-        ens, doc = io.load_design(fixture_path(name))
+        ens = io.load_design(fixture_path(name))
         assert isinstance(ens, CEnsemble)
         assert (ens.n, ens.d) == (1, d)
-        assert doc["format"] == 1
+        assert io.load_json(fixture_path(name))["format"] == 1
 
 
 def test_fiducial_fixtures_generate_full_designs():
     from designforge.cdesigns import check_weighted_2design, sic_from_fiducial
 
     for name, n in [("sic_d2_fiducial.json", 4), ("sic_d3_fiducial.json", 9)]:
-        ens, _ = io.load_design(fixture_path(name))
+        ens = io.load_design(fixture_path(name))
         orbit = sic_from_fiducial(ens.vectors[0])
         assert orbit.n == n
         assert check_weighted_2design(orbit) < 1e-12
@@ -312,8 +474,9 @@ def test_cli_rejects_forged_gabor_file(tmp_path, capsys):
 def test_cli_swapped_omega_is_not_verified_structurally(tmp_path, capsys):
     f = str(tmp_path / "g.json")
     _run(capsys, ["construct", "gabor", "--p", "2", "--k", "6", "--r", "3", "--out", f])
-    ens, doc = io.load_design(f)
-    doc["metadata"]["omega"] = {"element": (ens.metadata["omega"] ** 2).coeffs.tolist()}
+    doc = io.load_json(f)
+    omega = io.ensemble_from_design_file(doc).metadata["omega"]
+    doc["metadata"]["omega"] = {"element": (omega**2).coeffs.tolist()}
     io.save_json(f, doc)
     cert_path = str(tmp_path / "g.cert.json")
     code, _ = _run(capsys, ["verify", f, "--claims", "etf", "--cert", cert_path])
@@ -522,7 +685,7 @@ def test_cli_optimize_writes_design_and_trace(tmp_path, capsys):
         ],
     )
     assert code == 0
-    ens, _ = io.load_design(f)
+    ens = io.load_design(f)
     assert isinstance(ens, QEnsemble)
     assert check_tight_q_design(ens, tol=1e-6).ok
     with open(t) as fh:
@@ -533,16 +696,20 @@ def test_cli_optimize_writes_design_and_trace(tmp_path, capsys):
 
 
 def test_cli_export_json_reemits_canonical_bytes(tmp_path, capsys):
-    f = str(tmp_path / "sic.json")
-    _run(capsys, ["construct", "sic", "--d", "2", "--out", f])
-    out_json = str(tmp_path / "copy.json")
-    code, _ = _run(capsys, ["export", f, "--format", "json", "--out", out_json])
-    assert code == 0
-    with open(f, "rb") as fh:
-        src = fh.read()
-    with open(out_json, "rb") as fh:
-        dup = fh.read()
-    assert src == dup
+    for name, construct in [
+        ("sic", ["sic", "--d", "2"]),
+        ("gabor", ["gabor", "--p", "2", "--k", "6", "--r", "3"]),
+    ]:
+        f = str(tmp_path / f"{name}.json")
+        _run(capsys, ["construct", *construct, "--out", f])
+        out_json = str(tmp_path / f"{name}.copy.json")
+        code, _ = _run(capsys, ["export", f, "--format", "json", "--out", out_json])
+        assert code == 0
+        with open(f, "rb") as fh:
+            src = fh.read()
+        with open(out_json, "rb") as fh:
+            dup = fh.read()
+        assert src == dup, name
 
 
 def test_cli_export_csv_shapes(tmp_path, capsys):
@@ -568,7 +735,7 @@ def test_cli_export_csv_floats_round_trip(tmp_path, capsys):
     _run(capsys, ["construct", "mub", "--d", "3", "--out", f])
     out_csv = str(tmp_path / "mub.csv")
     _run(capsys, ["export", f, "--format", "csv", "--out", out_csv])
-    ens, _ = io.load_design(f)
+    ens = io.load_design(f)
     with open(out_csv) as fh:
         rows = fh.read().strip().splitlines()[1:]
     for idx, row in enumerate(rows):
