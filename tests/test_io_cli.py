@@ -254,10 +254,10 @@ def _vectors_first(text):
 @pytest.mark.parametrize(
     "edit,expect",
     [
-        pytest.param(_first_vector("[[[07,0],"), io.SchemaError, id="leading zero"),
-        pytest.param(_first_vector("[[[-7,0],"), io.SchemaError, id="negative"),
-        pytest.param(_first_vector("[[[7.0,0],"), io.SchemaError, id="fraction"),
-        pytest.param(_first_vector("[[[7e2,0],"), io.SchemaError, id="exponent"),
+        pytest.param(_first_vector("[[[07,0],"), io.SchemaError, id="07"),
+        pytest.param(_first_vector("[[[-1,0],"), io.SchemaError, id="-1"),
+        pytest.param(_first_vector("[[[1.0,0],"), io.SchemaError, id="1.0"),
+        pytest.param(_first_vector("[[[1e2,0],"), io.SchemaError, id="1e2"),
         pytest.param(_first_vector("[[[7,0,"), io.SchemaError, id="missing bracket"),
         pytest.param(_first_vector("[[[[7,0],"), io.SchemaError, id="extra bracket"),
         pytest.param(_first_vector("[[7[,0],"), io.SchemaError, id="digit moved past a bracket"),
@@ -265,6 +265,7 @@ def _vectors_first(text):
         pytest.param(_first_vector("[[[1000000000000000007,0],"), io.SchemaError, id="19 digits"),
         pytest.param(_first_vector("[[[18446744073709551623,0],"), io.SchemaError, id="2^64 + 7"),
         pytest.param(lambda t: t.replace('"n":2', '"n":1'), io.SchemaError, id="n = 1"),
+        pytest.param(lambda t: t.replace('"d":2', '"d":3'), io.SchemaError, id="d = 3"),
         pytest.param(lambda t: t.replace('"n":2', '"n":3'), io.SchemaError, id="n = 3"),
         pytest.param(
             lambda t: t.replace('"n":2', '"n":3').replace(
