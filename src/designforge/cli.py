@@ -56,12 +56,13 @@ def cmd_construct(args) -> int:
         ens = simplex_design_d2()
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(kind)
-    doc = io.save_design(args.out, ens)
-    if doc["setting"] == "difference-set":
-        print(f"wrote {args.out}: difference set mod {doc['modulus']}, "
-              f"{len(doc['elements'])} elements, lambda = {doc['lambda']}")
+    io.save_design(args.out, ens)
+    if kind == "singer":
+        print(f"wrote {args.out}: difference set mod {ens.modulus}, "
+              f"{len(ens.elements)} elements, lambda = {ens.lam}")
     else:
-        print(f"wrote {args.out}: {doc['setting']} ensemble, n = {doc['n']}, d = {doc['d']}")
+        setting = {"mub": "complex", "sic": "complex", "q-simplex": "quaternion"}.get(kind, "finite")
+        print(f"wrote {args.out}: {setting} ensemble, n = {ens.n}, d = {ens.d}")
     return EXIT_OK
 
 

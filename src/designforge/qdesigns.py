@@ -433,21 +433,31 @@ def simplex_design_d2() -> QEnsemble:
 
 def q_frame_potential(vectors: np.ndarray) -> float:
     """(1/n^2) sum_kl <x_k x_k*, x_l x_l*>^2 for an (n, d, 4) stack."""
-    sq = qabs2(_q_gram(vectors))
-    n = vectors.shape[0]
+    return _potential(_q_gram(vectors))
+
+
+def _potential(gram: np.ndarray) -> float:
+    """q_frame_potential of the vectors whose _q_gram is gram."""
+    sq = qabs2(gram)
+    n = gram.shape[0]
     return float(np.sum(sq * sq) / (n * n))
 
 
 def q_potential_gradient(vectors: np.ndarray) -> np.ndarray:
     """Euclidean gradient of q_frame_potential in the real coordinates:
     grad_m = (8/n^2) sum_l |x_m* x_l|^2 . x_l (x_l* x_m).
+    """
+    return _gradient(vectors, _q_gram(vectors))
+
+
+def _gradient(vectors: np.ndarray, ips: np.ndarray) -> np.ndarray:
+    """q_potential_gradient given the Gram ips = _q_gram(vectors).
 
     Right multiplication x_l q is linear in q, so with the weights
     w[m, l] = |x_m* x_l|^2 (x_l* x_m) the sum is one (n, 4n) @ (4n, 4d)
     product against the stacked coefficient matrices of the x_l.
     """
     n, d = vectors.shape[:2]
-    ips = _q_gram(vectors)
     weights = qabs2(ips)[:, :, None] * ips.transpose(1, 0, 2)
     _, right_mul = _unit_products()
     right = (vectors.reshape(n * d, 4) @ right_mul).reshape(n, d, 4, 4)
@@ -493,14 +503,15 @@ def optimize_design(
     rng = np.random.default_rng(seed)
     x = _renormalize(rng.standard_normal((n, d, 4)))
     bound = design_targets(d)[1]
-    f = q_frame_potential(x)
+    gram = _q_gram(x)  # of the current point, shared by its potential and gradient
+    f = _potential(gram)
     trace = [f]
     step = 1.0
     prev_x = None
     prev_g = None
     it = 0
     for it in range(1, iters + 1):
-        g = q_potential_gradient(x)
+        g = _gradient(x, gram)
         # tangent component on each sphere
         rad = np.sum(g * x, axis=(1, 2), keepdims=True)
         r = g - rad * x
@@ -518,10 +529,11 @@ def optimize_design(
         t = step
         for _ in range(60):
             cand = _renormalize(x - t * r)
-            fc = q_frame_potential(cand)
+            cand_gram = _q_gram(cand)
+            fc = _potential(cand_gram)
             if fc <= f - 1e-4 * t * rnorm2:
                 prev_x, prev_g = x, g
-                x, f = cand, fc
+                x, f, gram = cand, fc, cand_gram
                 trace.append(f)
                 accepted = True
                 break

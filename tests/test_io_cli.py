@@ -50,18 +50,25 @@ def test_float_repr_round_trips(rng=np.random.default_rng(11)):
 # ---------------------------------------------------------------------------
 
 
+def _written_as_canonical_dumps(path, ens):
+    """Save ens to path and check the bytes against the canonical_dumps oracle."""
+    assert io.save_design(path, ens) is None
+    with open(path, "rb") as fh:
+        written = fh.read()
+    assert written == io.canonical_dumps(io.design_file_from_ensemble(ens)).encode()
+    return written
+
+
 def _stable(tmp_path, ens, name):
     p1 = str(tmp_path / f"{name}.json")
-    doc1 = io.save_design(p1, ens)
+    b1 = _written_as_canonical_dumps(p1, ens)
+    doc1 = io.load_json(p1)
     loaded = io.load_design(p1)
     p2 = str(tmp_path / f"{name}.2.json")
     io.save_design(p2, loaded)
-    with open(p1, "rb") as fh:
-        b1 = fh.read()
     with open(p2, "rb") as fh:
         b2 = fh.read()
     assert b1 == b2
-    assert doc1 == io.load_json(p1)
     assert doc1["format"] == 1
     return loaded, doc1
 
@@ -342,6 +349,53 @@ def test_mutated_vectors_block_gives_the_json_path_result(edits, chunk):
         with open(path, "wb") as fh:
             fh.write(text[:start] + bytes(body) + b"}\n")
         _same_as_json_path(path)
+
+
+# ---------------------------------------------------------------------------
+# the canonical finite-file writer against canonical_dumps
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    p=st.sampled_from([2, 3, 7, 11, 101, 65521]),
+    shape=st.tuples(st.integers(1, 7), st.integers(1, 5), st.integers(1, 4)),
+    gabor=st.booleans(),
+    chunk=st.sampled_from([1 << 16, 200, 1]),
+)
+def test_written_finite_files_are_canonical_dumps(data, p, shape, gabor, chunk):
+    ctx = build_field(p, shape[2])
+    entry = st.one_of(st.sampled_from([0, p - 1]), st.integers(0, p - 1))
+    size = int(np.prod(shape))
+    values = np.array(data.draw(st.lists(entry, min_size=size, max_size=size))).reshape(shape)
+    metadata = None
+    if gabor:  # the Gabor keys, field elements included, in the head before "vectors"
+        metadata = {"kind": "gabor", "p": p, "k": shape[2], "r": 2, "D": [0, 1, 3],
+                    "alpha": ctx.element(values[0, 0]), "omega": ctx.element(values[-1, -1])}
+    ens = FFEnsemble(ctx, values, metadata)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(io, "_CHUNK_BYTES", chunk):
+        path = os.path.join(tmp, "w.json")
+        _written_as_canonical_dumps(path, ens)
+        loaded = io.load_design(path)
+    assert loaded.ctx is ctx and np.array_equal(loaded.data, ens.data)
+    assert loaded.metadata == ens.metadata
+
+
+@pytest.mark.parametrize(
+    "shape,block", [((0, 2, 2), "[]"), ((3, 0, 2), "[[],[],[]]"), ((0, 0, 2), "[]")]
+)
+def test_written_finite_files_with_a_zero_dimension(tmp_path, shape, block):
+    ens = FFEnsemble(build_field(3, 2), np.zeros(shape, dtype=np.int64))
+    written = _written_as_canonical_dumps(str(tmp_path / "e.json"), ens)
+    assert written.endswith(f',"vectors":{block}}}\n'.encode())
+
+
+def test_written_gabor_file_in_windows_smaller_than_a_vector(tmp_path):
+    ens = gabor_ensemble(2, 6, 3)
+    whole = _written_as_canonical_dumps(str(tmp_path / "whole.json"), ens)
+    with mock.patch.object(io, "_CHUNK_BYTES", 100):  # one d = 13 vector is 936 bytes wide
+        assert _written_as_canonical_dumps(str(tmp_path / "small.json"), ens) == whole
 
 
 # ---------------------------------------------------------------------------

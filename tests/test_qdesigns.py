@@ -1,8 +1,11 @@
 """Quaternion algebra, the d = 2 simplex design, fusion frames, optimizer."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from designforge import qdesigns
 from designforge.qdesigns import (
     DEFAULT_TOL,
     DimensionMismatch,
@@ -422,6 +425,30 @@ def test_optimizer_finds_the_d2_design():
         # the Armijo line search keeps the recorded trace monotone
         tr = np.asarray(res.trace)
         assert np.all(tr[1:] <= tr[:-1] + 1e-12)
+
+
+def test_optimizer_builds_one_gram_per_point():
+    # every renormalized point (the start and each candidate) gets exactly one Gram,
+    # which serves its potential and, once accepted, its gradient
+    with mock.patch.object(qdesigns, "_q_gram", wraps=_q_gram) as grams, mock.patch.object(
+        qdesigns, "_renormalize", wraps=qdesigns._renormalize
+    ) as points:
+        res = optimize_design(3, 15, seed=0)
+    assert grams.call_count == points.call_count >= len(res.trace)
+
+
+def test_optimizer_iterates_and_converges_as_recorded():
+    # iteration counts and final potentials (to the last bit) of optimize_design(3, 15)
+    # on seeds 0-9, as recorded when each iteration built the Gram twice
+    res = [optimize_design(3, 15, seed=seed) for seed in range(10)]
+    assert [r.iterations for r in res] == [444, 576, 477, 434, 491, 448, 467, 551, 524, 373]
+    assert [r.potential.hex() for r in res] == [
+        "0x1.24924924925f5p-3", "0x1.24924924925f0p-3", "0x1.24924924925f1p-3",
+        "0x1.24924924925e9p-3", "0x1.24924924925e9p-3", "0x1.24924924925f9p-3",
+        "0x1.24924924925f7p-3", "0x1.24924924925f7p-3", "0x1.24924924925f0p-3",
+        "0x1.24924924925f9p-3",
+    ]
+    assert all(len(r.trace) == r.iterations for r in res)
 
 
 def test_optimizer_degenerate_cases():
