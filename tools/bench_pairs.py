@@ -9,11 +9,14 @@ Run from the repository root:
 The command, the run length and the workload names come from
 BENCHMARK.json.  For each seed (one pair per seed) and each workload, the
 benchmark command runs once with --trace 0 on each side: the parent, a
-`git archive` export of --parent in a temporary directory, and the change,
-the working tree.  The side that goes first alternates (the parent on even
-pairs).  Before every run the side's __pycache__ directories are deleted,
-so that both sides import freshly compiled sources, as a new checkout does:
-with cached bytecode on one side only, peak RSS differs by up to 0.6 MB.
+`git archive` export of --parent, and the change, a copy of the working
+tree's files that git does not ignore.  The two sit in sibling directories
+`parent` and `change` of one temporary directory, because peak RSS depends
+on the length of the tree's path by more than 0.1 MB.  The side that goes
+first alternates (the parent on even pairs).  Before every run the side's
+__pycache__ directories are deleted, so that both sides import freshly
+compiled sources, as a new checkout does: with cached bytecode on one side
+only, peak RSS differs by up to 0.6 MB.
 Each run's end-to-end metrics are read from the last line of its stdout.
 The result goes to BENCH_<label>.json: per side and metric the median and
 quartiles of the runs, how many pairs the change was lower in, and the
@@ -50,6 +53,18 @@ def export_rev(rev: str, dest: Path) -> None:
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def export_worktree(dest: Path) -> None:
+    """Copy the working tree's tracked and unignored files to `dest`."""
+    names = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, check=True, capture_output=True,
+    ).stdout.decode().split("\0")
+    for name in filter(None, names):
+        if (ROOT / name).is_file():  # a tracked file deleted in the tree is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def clear_bytecode(tree: Path) -> None:
@@ -137,8 +152,9 @@ def main(argv=None) -> int:
     seeds = parse_seeds(args.seeds)
     tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
     try:
-        export_rev(args.parent, tmp)
-        sides = {"parent": tmp, "change": ROOT}
+        sides = {"parent": tmp / "parent", "change": tmp / "change"}
+        export_rev(args.parent, sides["parent"])
+        export_worktree(sides["change"])
         runs = {w: {"parent": [], "change": []} for w in WORKLOADS}
         machine = {}
         for i, seed in enumerate(seeds):
