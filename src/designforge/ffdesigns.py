@@ -44,6 +44,7 @@ from .fflinalg import (
     EvenCharacteristic,
     FFMatrix,
     FFVector,
+    _frob_matrix,
     frobenius_array,
     inverse,
     rank,
@@ -223,8 +224,10 @@ def _conjugate(ens: FFEnsemble) -> np.ndarray:
 
 def _frame_operator(ens: FFEnsemble) -> np.ndarray:
     """S = sum_k x_k x_k* as a (d, d, K) array."""
-    ctx, xt = ens.ctx, ens.data.transpose(1, 0, 2)
-    return _memoized(ens, "frame", lambda: kernels.matmul(xt, _conjugate(ens), ctx.red, ctx.p))
+    ctx = ens.ctx
+    return _memoized(
+        ens, "frame", lambda: kernels.frame_operator(ens.data, _frob_matrix(ctx), ctx.red, ctx.p)
+    )
 
 
 def _norm_values(ens: FFEnsemble, ips: np.ndarray) -> np.ndarray:
@@ -614,13 +617,14 @@ def certify_tight_2design(ens: FFEnsemble) -> FFCertificate:
         raise DesignError("internal: a = 0 iff c1 = 0 violated on a certified design")
     if n < d * d:
         raise DesignError("internal: certified design with n < d^2")
-    if n * d**4 <= PSI_MULTIPLY_BUDGET:
+    cost = n * d**4
+    if cost <= PSI_MULTIPLY_BUDGET:
         got = check_2design_psi(ens)
         if got is None or got != c2:
             raise DesignError("internal: blockwise route contradicts certificate")
         cert.cross_checks.append("psi-route agrees")
     else:
-        cert.cross_checks.append("psi-route skipped: over budget")
+        cert.cross_checks.append(f"psi-route skipped: n d^4 = {cost} > {PSI_MULTIPLY_BUDGET}")
     return cert
 
 
@@ -656,6 +660,18 @@ def gabor_ensemble(p: int, k: int, r: int) -> FFEnsemble:
     index s*d + t is (M^s T^t 1_D)(x) = omega^{s x} 1_D(x - t) where omega
     has order d in F_{q^2}.
     """
+    ctx, phases, support, meta = _gabor_parts(p, k, r)
+    vecs = phases[:, None, :, :] * support[None, :, :, None]
+    d = support.shape[0]
+    return FFEnsemble(ctx, vecs.reshape(d * d, d, ctx.deg), meta)
+
+
+def _gabor_parts(p: int, k: int, r: int):
+    """(ctx, phases, support, metadata) of gabor_ensemble(p, k, r).
+
+    phases[s, x] = omega^{s x} and support[t, x] = 1_D(x - t), so the block of
+    vectors s*d .. s*d + d - 1 is phases[s] * support[:, :, None].
+    """
     d = r * r + r + 1
     if (r - 1) % p != 0:
         raise DivisibilityViolated(f"p = {p} does not divide r - 1 = {r - 1}")
@@ -675,7 +691,6 @@ def gabor_ensemble(p: int, k: int, r: int) -> FFEnsemble:
     for t in range(d):
         support[t, (np.asarray(ds.elements) + t) % d] = True
     phases = pows[(np.outer(xs, xs)) % d]  # phases[s, x] = omega^{s x}
-    vecs = phases[:, None, :, :] * support[None, :, :, None]
     meta = {
         "kind": "gabor",
         "p": p,
@@ -685,7 +700,7 @@ def gabor_ensemble(p: int, k: int, r: int) -> FFEnsemble:
         "alpha": alpha,
         "omega": omega,
     }
-    return FFEnsemble(ctx, vecs.reshape(d * d, d, ctx.deg), meta)
+    return ctx, phases, support, meta
 
 
 _GABOR_KEYS = ("kind", "p", "k", "r", "D", "alpha", "omega")
@@ -723,11 +738,14 @@ def _rebuild_matches(ens: FFEnsemble) -> bool:
     if (r * r + r + 1, d * d, p, 2 * k) != (d, ens.n, ens.ctx.p, ens.ctx.deg):
         return False
     try:
-        ref = gabor_ensemble(p, k, r)
+        ctx, phases, support, ref_meta = _gabor_parts(p, k, r)
     except (DivisibilityViolated, NotPrimePower):
         return False
-    same_meta = all(ref.metadata[key] == meta.get(key) for key in ("D", "alpha", "omega"))
-    return ref.ctx is ens.ctx and same_meta and np.array_equal(ref.data, ens.data)
+    same_meta = all(ref_meta[key] == meta.get(key) for key in ("D", "alpha", "omega"))
+    if ctx is not ens.ctx or not same_meta:
+        return False
+    blocks = ens.data.reshape(d, d, d, ctx.deg)  # one block of d vectors per phase s
+    return all(np.array_equal(blocks[s], phases[s] * support[:, :, None]) for s in range(d))
 
 
 def structural_gabor_verify(ens: FFEnsemble) -> EtfCheck:
@@ -738,8 +756,9 @@ def structural_gabor_verify(ens: FFEnsemble) -> EtfCheck:
     vector length divides q + 1 — so the (q+1)-power of every pair value is
     already among the canonical ones.  That argument holds only for the
     construction itself, so the metadata must rebuild the data exactly
-    (same field, D, alpha and omega, equal vectors; the rebuild is not
-    kept), else MetadataMissing is raised.  Tightness is still checked
+    (same field, D, alpha and omega, equal vectors; the rebuild is
+    compared one block of d vectors at a time and never built whole),
+    else MetadataMissing is raised.  Tightness is still checked
     exactly on the full frame operator.
     """
     if ens.metadata.get("kind") != "gabor":

@@ -215,7 +215,12 @@ def ensemble_from_design_file(doc: dict) -> Ensemble:
         ctx = build_field(int(fld["p"]), int(fld["k"]))
         if "modulus" in fld and list(ctx.modulus) != [int(c) for c in fld["modulus"]]:
             raise SchemaError("field modulus does not match the deterministic one")
-        if vectors.shape != (n, d, ctx.deg):
+        shape = (n, d, ctx.deg)
+        # `[]` and `[[], ...]` parse as float arrays cut at their first empty axis
+        counts = all(type(v) is int and v >= 0 for v in (n, d))
+        if vectors.size == 0 and counts and vectors.shape == shape[: vectors.ndim]:
+            vectors = np.zeros(shape, dtype=np.int64)
+        if vectors.shape != shape:
             raise SchemaError(f"finite vectors must have shape ({n}, {d}, {ctx.deg})")
         if vectors.dtype.kind not in "iu" or np.any(vectors < 0) or np.any(vectors >= ctx.p):
             raise SchemaError("finite coefficients must be reduced integers in [0, p)")

@@ -7,7 +7,7 @@ schoolbook convolutions followed by reduction with a precomputed matrix
 x^(K+j) mod f, where f is the (monic) field modulus of degree K.
 
 Each kernel has one implementation in numpy: integer arithmetic for
-``mul_batch``, float64 products handed to BLAS for the other four, with the
+``mul_batch``, float64 products handed to BLAS for the other five, with the
 exactness bounds below checked in code.
 
 ``mul_batch`` takes any two (..., K) arrays whose leading axes broadcast
@@ -16,17 +16,26 @@ shape.  It forms the (..., 2K-1) convolutions and reduces them as one flat
 (N, 2K-1) batch, so callers pass views (``c``, ``x[:, None]``) rather than
 tiling or flattening their operands.
 
-``dot_batch``, ``gather_dot``, ``matmul`` and ``elim_update`` are
-built on the (K^2, K) fold matrix, whose row i*K+j is x^(i+j) reduced mod f
-(the unit vector e_(i+j) when i+j < K, else red[i+j-K]); it does the
-convolution and the modulus reduction together (delayed modular reduction
-over BLAS, as in FFLAS-FFPACK).  The first three make two float64 products:
+``dot_batch``, ``gather_dot``, ``matmul``, ``frame_operator`` and
+``elim_update`` are built on the (K^2, K) fold matrix, whose row i*K+j is
+x^(i+j) reduced mod f (the unit vector e_(i+j) when i+j < K, else
+red[i+j-K]); it does the convolution and the modulus reduction together
+(delayed modular reduction over BLAS, as in FFLAS-FFPACK).  The first three
+make two float64 products:
 
 1. One product over the inner index gives every coefficient-pair sum
    P[i, j] = sum_e a[e, i] * b[e, j]: a batched ``matmul`` of (m, K, D) @
    (m, D, K) for the dot kernels, one (R*K, M) @ (M, K*C) GEMM per row block
    for ``matmul``.
 2. One product with the fold matrix; mod p is taken once at the end.
+
+``frame_operator`` forms S[i, j] = sum_n x[n, i] * frob(x[n, j]) for an
+F_p-linear map frob (the conjugation).  Linearity moves frob into the fold:
+H[a*K+b, t] = sum_c frob[c, b] * fold[a*K+c, t] is coefficient t of
+x^a * frob(x^b).  Step 1 is then G = X^T X for X = x.reshape(N, D*K), a
+symmetric product that numpy hands to BLAS syrk (the inner blocks of the
+exact product are two views of one buffer, so they keep that path), and
+step 2 folds G with H one row i at a time.
 
 ``elim_update`` multiplies every row by the same pivot, and multiplying by a
 fixed pivot entry is a linear map on coefficient vectors: its (K, K) matrix,
@@ -40,9 +49,10 @@ The kernels enforce this and raise OverflowError rather than round:
 
 - product step: inner length * (p-1)^2 < 2^53; a longer inner dimension is
   split into blocks with a reduction mod p after each;
-- fold: K^2 * (p-1)^2 < 2^53; P is reduced mod p before the fold.  The same
-  check covers ``elim_update``, whose two products (pivot with fold, then
-  factors with the reduced pivot matrices) each sum K products of residues;
+- fold: K^2 * (p-1)^2 < 2^53; P (or G) is reduced mod p before the fold.
+  The same check covers ``elim_update``, whose two products (pivot with
+  fold, then factors with the reduced pivot matrices) each sum K products of
+  residues, and ``frame_operator``'s H, a sum of K products reduced mod p;
 - modulus reduction of a convolution (``mul_batch``): (K-1) * (p-1)^2 <
   2^53; ``fflinalg.frobenius_array``: K * (p-1)^2 < 2^53.
 
@@ -177,17 +187,16 @@ def dot_batch(x, y, red, p):
 def gather_dot(x, y, ki, kj, red, p):
     """dot_batch on gathered row pairs (x[ki[b]], y[kj[b]])."""
     x, y, ki, kj, red = _as_i64(x), _as_i64(y), _as_i64(ki), _as_i64(kj), _as_i64(red)
-    # convert once; gather float rows in chunks to keep peak memory flat
+    # gather int64 rows in chunks and convert only the chunk: peak memory stays flat
     fold = _fold_matrix(red, p)
     m = ki.shape[0]
     _, d, k = x.shape
-    xt = np.ascontiguousarray(x.transpose(0, 2, 1), dtype=np.float64)
-    yf = y.astype(np.float64)
     step = max(1, _GATHER_CHUNK // max(d * k, 1))
     out = np.empty((m, k), dtype=np.int64)
     for lo in range(0, m, step):
         hi = min(lo + step, m)
-        out[lo:hi] = _pair_dots(xt[ki[lo:hi]], yf[kj[lo:hi]], fold, p)
+        xt = np.ascontiguousarray(x[ki[lo:hi]].transpose(0, 2, 1), dtype=np.float64)
+        out[lo:hi] = _pair_dots(xt, y[kj[lo:hi]].astype(np.float64), fold, p)
     return out
 
 
@@ -209,6 +218,26 @@ def matmul(a, b, red, p):
         folded = np.matmul(fold_t, prod.reshape(hi - lo, k * k, cols))
         out[lo:hi] = folded.transpose(0, 2, 1)
         out[lo:hi] %= p
+    return out
+
+
+def frame_operator(x, frob, red, p):
+    """S[i,j] = sum_n x[n,i] * frob(x[n,j]): (N,D,K) -> (D,D,K).
+
+    frob is the (K, K) matrix of an F_p-linear map, frob(v) = frob @ v.
+    """
+    x, frob, red = _as_i64(x), _as_i64(frob), _as_i64(red)
+    n, d, k = x.shape
+    fold = _fold_matrix(red, p).reshape(k, k, k)
+    # h[a*K+b, t]: coefficient t of x^a * frob(x^b); K products each, inside the fold bound
+    h = _mod_exact(np.einsum("cb,act->abt", frob.astype(np.float64), fold), p).reshape(k * k, k)
+    xf = x.reshape(n, d * k).astype(np.float64)
+    g = _exact_matmul(xf.T, xf, p).reshape(d, k, d, k)  # symmetric: BLAS syrk
+    del xf
+    out = np.empty((d, d, k), dtype=np.int64)
+    for i in range(d):  # fold one row of G at a time, not a transposed copy of all of it
+        out[i] = g[i].transpose(1, 0, 2).reshape(d, k * k) @ h
+    out %= p
     return out
 
 

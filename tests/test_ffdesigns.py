@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from designforge.ffcore import OrderDoesNotDivide, build_field, frobenius
+from designforge.ffcore import NotQuadraticExtension, OrderDoesNotDivide, build_field, frobenius
 from designforge.fflinalg import BudgetExceeded, EvenCharacteristic, FFMatrix, FFVector
 from designforge import ffdesigns
 from designforge.ffdesigns import (
@@ -187,6 +187,21 @@ def test_design_checks_respect_budget(f9):
         check_2design_naive(f9, budget=1)
     with pytest.raises(BudgetExceeded):
         check_2design_psi(f9, budget=1)
+
+
+def test_certificate_shows_skipped_psi_budget(f9, monkeypatch):
+    # no odd-characteristic Gabor ensemble is smaller than d = 73, so the
+    # 4-vector F_9 design stands in, with the budget set below its n d^4 = 64
+    monkeypatch.setattr(ffdesigns, "PSI_MULTIPLY_BUDGET", 63)
+    cert = certify_tight_2design(f9)
+    assert cert.is_design
+    assert cert.cross_checks == ["psi-route skipped: n d^4 = 64 > 63"]
+
+
+def test_frame_operator_needs_a_quadratic_extension():
+    ens = FFEnsemble(build_field(3, 3), np.ones((2, 2, 3), dtype=np.int64))
+    with pytest.raises(NotQuadraticExtension):
+        check_tight_frame(ens)
 
 
 def test_certify_f9(f9):
@@ -408,9 +423,9 @@ def test_conjugate_computed_once_per_ensemble(monkeypatch):
 
     monkeypatch.setattr(ffdesigns, "frobenius_array", counting)
     rebuilds = []
-    real_gabor = ffdesigns.gabor_ensemble
+    real_parts = ffdesigns._gabor_parts
     monkeypatch.setattr(
-        ffdesigns, "gabor_ensemble", lambda *a: rebuilds.append(a) or real_gabor(*a)
+        ffdesigns, "_gabor_parts", lambda *a: rebuilds.append(a) or real_parts(*a)
     )
     res = structural_gabor_verify(ens)
     cert = certify_tight_2design(ens)

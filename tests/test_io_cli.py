@@ -391,6 +391,25 @@ def test_written_finite_files_with_a_zero_dimension(tmp_path, shape, block):
     assert written.endswith(f',"vectors":{block}}}\n'.encode())
 
 
+@pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 2), (0, 0, 2)])
+def test_finite_files_with_a_zero_dimension_load(tmp_path, shape):
+    ctx = build_field(3, 2)
+    path = str(tmp_path / "e.json")
+    io.save_design(path, FFEnsemble(ctx, np.zeros(shape, dtype=np.int64)))
+    for loaded in (io.load_design(path), io.ensemble_from_design_file(io.load_json(path))):
+        assert loaded.ctx is ctx
+        assert loaded.data.shape == shape and loaded.data.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "n,d,block", [(3, 0, "[]"), (0, 2, "[[]]"), (-1, 0, "[]"), (0, -1, "[]"), (0.0, 2, "[]")]
+)
+def test_empty_finite_block_must_match_the_declared_counts(n, d, block):
+    doc = {"format": 1, "setting": "finite", "field": {"p": 3, "k": 2}, "n": n, "d": d}
+    with pytest.raises(io.SchemaError):
+        io.ensemble_from_design_file({**doc, "vectors": json.loads(block)})
+
+
 def test_written_gabor_file_in_windows_smaller_than_a_vector(tmp_path):
     ens = gabor_ensemble(2, 6, 3)
     whole = _written_as_canonical_dumps(str(tmp_path / "whole.json"), ens)

@@ -1,10 +1,12 @@
 """Cross-checks every kernel against scalar element arithmetic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from designforge import kernels
-from designforge.ffcore import MAX_DEGREE, FieldElement, build_field
+from designforge.ffcore import MAX_DEGREE, FieldElement, build_field, frobenius
 
 CASES = [(3, 2), (7, 3), (13, 1), (65521, 2)]
 
@@ -136,6 +138,23 @@ def test_gather_dot_spans_chunks(p, k):
         assert np.array_equal(got[r], _dot_oracle(ctx, x[ki[r]], y[kj[r]])), r
 
 
+def test_gather_dot_converts_only_gathered_rows():
+    # one pair of a (512, 64, 8) operand: no float copy of the whole operands
+    ctx = build_field(7, 8)
+    rng = np.random.default_rng(8)
+    x = _rand_elems(rng, ctx, (512, 64))
+    pair = np.array([3]), np.array([5])
+    want = kernels.gather_dot(x, x, *pair, ctx.red, ctx.p)  # warms the fold cache
+    tracemalloc.start()
+    try:
+        got = kernels.gather_dot(x, x, *pair, ctx.red, ctx.p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < x.nbytes // 16, peak
+
+
 @pytest.mark.parametrize("p,k", BENCH_FIELDS)
 def test_matmul_spans_row_blocks(p, k):
     ctx = build_field(p, k)
@@ -185,23 +204,31 @@ def test_fold_matrix_built_once_per_field():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kernel", ["matmul", "dot_batch", "gather_dot"])
+@pytest.mark.parametrize("kernel", ["matmul", "dot_batch", "gather_dot", "frame_operator"])
 def test_long_inner_dimension_is_exact(kernel):
     # (p-2)^2 is odd, so a float sum past 2^53 would round visibly
     ctx = build_field(65521, 1)
     p = ctx.p
     mid = 2_100_001
     assert mid * (p - 2) ** 2 > 2**53
-    want = mid * (p - 2) ** 2 % p
+    want = [mid * (p - 2) ** 2 % p]
     col = np.full((mid, 1), p - 2, dtype=np.int64)
     if kernel == "matmul":
         got = kernels.matmul(col[None], col[:, None], ctx.red, p)[0, 0]
     elif kernel == "dot_batch":
         got = kernels.dot_batch(col[None], col[None], ctx.red, p)[0]
-    else:
+    elif kernel == "gather_dot":
         zero = np.zeros(1, dtype=np.int64)
         got = kernels.gather_dot(col[None], col[None], zero, zero, ctx.red, p)[0]
-    assert got.tolist() == [want]
+    else:
+        # mid vectors (e) over F_{p^2}, e = (p-2)(1 + x): every entry of the
+        # symmetric product X^T X is mid * (p-2)^2
+        ctx = build_field(p, 2)
+        e = FieldElement(ctx, [p - 2, p - 2])
+        want = (ctx.scalar(mid) * e * frobenius(e)).coeffs.tolist()
+        x = np.full((mid, 1, 2), p - 2, dtype=np.int64)
+        got = kernels.frame_operator(x, ctx.frob_power_matrix(1), ctx.red, p)[0, 0]
+    assert got.tolist() == want
 
 
 def test_out_of_window_prime_raises():

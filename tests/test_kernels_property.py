@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from designforge import kernels
-from designforge.ffcore import MAX_PRIME, FieldElement, build_field
+from designforge.ffcore import MAX_PRIME, FieldElement, build_field, frobenius
+from designforge.fflinalg import frobenius_array
 
 
 def _rand_elems(rng, ctx, shape):
@@ -31,6 +32,7 @@ PROPERTY_FIELDS = [
 ]
 
 fields = st.sampled_from(PROPERTY_FIELDS)
+even_fields = st.sampled_from([f for f in PROPERTY_FIELDS if f[1] % 2 == 0])
 seeds = st.integers(0, 2**32 - 1)
 sizes = st.integers(1, 5)
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -108,6 +110,27 @@ def test_matmul_property(field, seed, rows, mid, cols):
     ).reshape(rows, cols, ctx.deg)
 
     assert np.array_equal(kernels.matmul(a, b, ctx.red, ctx.p), want)
+
+
+@PROPERTY
+@given(even_fields, seeds, st.integers(0, 5), st.integers(0, 6))
+def test_frame_operator_property(field, seed, n, d):
+    ctx = build_field(*field)
+    rng = np.random.default_rng(seed)
+    x = _rand_elems(rng, ctx, (n, d))
+    want = np.zeros((d, d, ctx.deg), dtype=np.int64)
+    for i, j in np.ndindex(d, d):
+        acc = ctx.zero()
+        for r in range(n):
+            acc = acc + _as_elem(ctx, x[r, i]) * frobenius(_as_elem(ctx, x[r, j]))
+        want[i, j] = acc.coeffs
+
+    frob = ctx.frob_power_matrix(ctx.deg // 2)
+    got = kernels.frame_operator(x, frob, ctx.red, ctx.p)
+    via_matmul = kernels.matmul(x.transpose(1, 0, 2), frobenius_array(ctx, x), ctx.red, ctx.p)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, via_matmul)
 
 
 @PROPERTY
