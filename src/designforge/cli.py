@@ -275,6 +275,7 @@ def cmd_ebr(args) -> int:
     from .cdesigns import (
         CEnsemble,
         NotADesign,
+        UnsupportedDimension,
         design_to_kraus,
         ebr_bound_table,
         mub_ensemble,
@@ -287,7 +288,6 @@ def cmd_ebr(args) -> int:
         for row in ebr_bound_table(d)
     ]
     witness_entry = None
-    exit_code = EXIT_OK
     ens = None
     provenance = None
     if args.witness:
@@ -303,7 +303,7 @@ def cmd_ebr(args) -> int:
     else:
         try:
             ens, provenance = mub_ensemble(d), "mub-catalog"
-        except Exception:
+        except UnsupportedDimension:
             ens = None
     if ens is not None:
         try:
@@ -339,7 +339,7 @@ def cmd_ebr(args) -> int:
     for t in table:
         tag = "constructive" if t["constructive"] else "recorded"
         print(f"  {t['bound']:>6}  {tag:<12} {t['rule']}")
-    return exit_code
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

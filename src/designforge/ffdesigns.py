@@ -14,16 +14,19 @@ symmetric subspace.  Two independent verification routes are provided (a
 dense tensor comparison and a blockwise map comparison) plus a parameter
 certificate route for ensembles far too large to verify directly.
 
-An FFEnsemble's data is read-only, and a private memo keeps what every
-claim shares: the conjugate, the frame operator, the tightness constant and
-the canonical products <x_0, x_j> (nothing that reads the mutable metadata).
-`verify_etf` alone picks the ETF route: structural when the Gabor metadata
-rebuilds the data exactly, else the full Gram.
+An FFEnsemble's data and metadata are read-only, so a private memo can keep
+every fact the claims share for the ensemble's life: the conjugate, the
+frame operator, the tightness constant, the canonical products <x_0, x_j>
+and whether the Gabor metadata rebuilds the data.  `verify_etf` alone picks
+the ETF route: structural when that rebuild matches exactly, else the full
+Gram.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,7 +49,6 @@ from .fflinalg import (
     FFVector,
     _frob_matrix,
     frobenius_array,
-    inverse,
     rank,
     nullspace,
     sym_projector,
@@ -61,10 +63,6 @@ class DesignError(Exception):
 
 
 class PreconditionViolated(DesignError):
-    pass
-
-
-class DegenerateSubspace(DesignError):
     pass
 
 
@@ -173,19 +171,20 @@ class FFEnsemble:
 
     data has shape (n, d, K) and is read-only; metadata (when present)
     records how the ensemble was built, e.g. Gabor parameters
-    {p, k, r, D, alpha, omega}.
+    {p, k, r, D, alpha, omega}.  It is stored as a read-only deep copy:
+    mappings become MappingProxyType and lists become tuples.
     """
 
     __slots__ = ("ctx", "data", "metadata", "_memo")
 
-    def __init__(self, ctx: FieldCtx, data, metadata: Optional[dict] = None):
+    def __init__(self, ctx: FieldCtx, data, metadata: Optional[Mapping] = None):
         arr = np.asarray(data, dtype=np.int64) % ctx.p
         if arr.ndim != 3 or arr.shape[2] != ctx.deg:
             raise ValueError(f"expected (n, d, {ctx.deg}) array, got {arr.shape}")
         self.ctx = ctx
         self.data = np.ascontiguousarray(arr)
         self.data.flags.writeable = False
-        self.metadata = dict(metadata) if metadata else {}
+        self.metadata = _read_only(metadata or {})
         self._memo = {}
 
     @classmethod
@@ -206,6 +205,15 @@ class FFEnsemble:
 
     def __repr__(self):
         return f"FFEnsemble(n={self.n}, d={self.d}, p={self.ctx.p}, k={self.ctx.deg})"
+
+
+def _read_only(v):
+    """A deep copy of a metadata value that no caller can mutate (FieldElement is immutable)."""
+    if isinstance(v, Mapping):
+        return MappingProxyType({k: _read_only(x) for k, x in v.items()})
+    if isinstance(v, (list, tuple)):
+        return tuple(_read_only(x) for x in v)
+    return v
 
 
 def _memoized(ens: FFEnsemble, key: str, compute: Callable):
@@ -247,55 +255,28 @@ def _pair_inner(ens: FFEnsemble, ki: np.ndarray, kj: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def check_tight_frame(ens: FFEnsemble, subspace: Optional[np.ndarray] = None):
-    """Return c with sum_k x_k x_k* = c P, or None if the ensemble is not tight.
+def check_tight_frame(ens: FFEnsemble) -> Optional[FieldElement]:
+    """Return c with sum_k x_k x_k* = c I, or None if the ensemble is not tight.
 
-    P is the identity when no subspace is given, else the orthogonal
-    projection onto the span of the given basis columns (d, m, K).  When
-    c = 0 tightness alone says nothing, so the spanning condition is checked
-    explicitly; for c != 0 it is implied.  The answer for P = I is computed
-    once per ensemble.
+    When c = 0 tightness alone says nothing, so the spanning condition is
+    checked explicitly; for c != 0 it is implied.  In dimension 0 every c
+    fits, so none is reported.  The answer is computed once per ensemble.
     """
-    if subspace is None:
-        return _memoized(ens, "tight", lambda: _tight_constant(ens, None))
-    return _tight_constant(ens, subspace)
+    return _memoized(ens, "tight", lambda: _tight_constant(ens))
 
 
-def _tight_constant(ens: FFEnsemble, subspace: Optional[np.ndarray]):
-    ctx = ens.ctx
+def _tight_constant(ens: FFEnsemble) -> Optional[FieldElement]:
+    ctx, d = ens.ctx, ens.d
+    if d == 0:
+        return None
     s = _frame_operator(ens)
-    if subspace is None:
-        proj = np.zeros_like(s)
-        proj[np.arange(ens.d), np.arange(ens.d), 0] = 1
-        dim = ens.d
-    else:
-        basis = np.asarray(subspace, dtype=np.int64) % ctx.p
-        dim = basis.shape[1]
-        bt = frobenius_array(ctx, basis.transpose(1, 0, 2))
-        gram = kernels.matmul(bt, basis, ctx.red, ctx.p)
-        ginv = inverse(ctx, gram)
-        if ginv is None:
-            raise DegenerateSubspace("subspace basis has singular Gram matrix")
-        proj = kernels.matmul(
-            kernels.matmul(basis, ginv, ctx.red, ctx.p), bt, ctx.red, ctx.p
-        )
-    # candidate c from the first position where P is nonzero
-    pos = np.argwhere(np.any(proj != 0, axis=2))
-    if pos.size == 0:
-        return FieldElement(ctx, s[0, 0]) if not s.any() else None
-    i, j = pos[0]
-    pe = FieldElement(ctx, proj[i, j])
-    c = FieldElement(ctx, s[i, j]) / pe
-    expected = kernels.mul_batch(proj, c.coeffs, ctx.red, ctx.p)
+    c = FieldElement(ctx, s[0, 0])
+    expected = np.zeros_like(s)
+    expected[np.arange(d), np.arange(d)] = c.coeffs
     if not np.array_equal(s, expected):
         return None
-    if c.is_zero():
-        if subspace is not None:
-            stacked = np.concatenate([basis.transpose(1, 0, 2), ens.data])
-            if rank(ctx, stacked) != dim:
-                return None  # some vector leaves the subspace
-        if rank(ctx, ens.data, max_pivots=dim) != dim:
-            return None  # vectors do not span
+    if c.is_zero() and rank(ctx, ens.data, max_pivots=d) != d:
+        return None  # vectors do not span
     return c
 
 
@@ -666,6 +647,16 @@ def gabor_ensemble(p: int, k: int, r: int) -> FFEnsemble:
     return FFEnsemble(ctx, vecs.reshape(d * d, d, ctx.deg), meta)
 
 
+def _powers(z: FieldElement, m: int) -> np.ndarray:
+    """z^0, ..., z^(m-1) as an (m, K) array."""
+    pows = np.zeros((m, z.ctx.deg), dtype=np.int64)
+    w = z.ctx.one()
+    for i in range(m):
+        pows[i] = w.coeffs
+        w = w * z
+    return pows
+
+
 def _gabor_parts(p: int, k: int, r: int):
     """(ctx, phases, support, metadata) of gabor_ensemble(p, k, r).
 
@@ -681,11 +672,7 @@ def _gabor_parts(p: int, k: int, r: int):
     ctx = build_field(p, 2 * k)
     alpha = primitive_element(ctx)
     omega = root_of_unity(ctx, d)
-    pows = np.zeros((d, ctx.deg), dtype=np.int64)
-    z = ctx.one()
-    for i in range(d):
-        pows[i] = z.coeffs
-        z = z * omega
+    pows = _powers(omega, d)
     xs = np.arange(d)
     support = np.zeros((d, d), dtype=bool)  # support[t, x] = 1_D(x - t)
     for t in range(d):
@@ -696,38 +683,19 @@ def _gabor_parts(p: int, k: int, r: int):
         "p": p,
         "k": k,
         "r": r,
-        "D": list(ds.elements),
+        "D": ds.elements,
         "alpha": alpha,
         "omega": omega,
     }
     return ctx, phases, support, meta
 
 
-_GABOR_KEYS = ("kind", "p", "k", "r", "D", "alpha", "omega")
-
-
-def _frozen(v):
-    """A deep, type-exact image of a metadata value that later mutation cannot reach."""
-    if isinstance(v, (list, tuple)):
-        return type(v), tuple(_frozen(x) for x in v)
-    if isinstance(v, FieldElement):
-        return FieldElement, v.ctx, v.coeffs.tobytes()
-    if v is None or isinstance(v, (bool, int, float, str)):
-        return type(v), v
-    return object(), v  # equal to no later image, so the verdict is never reused
-
-
 def _rebuilds_gabor(ens: FFEnsemble) -> bool:
     """True when gabor_ensemble(p, k, r) from the metadata reproduces ens exactly.
 
-    The verdict is memoized with an image of the metadata it read, and
-    computed again once that metadata changes.
+    Data and metadata are read-only, so the verdict holds for the ensemble's life.
     """
-    seen = _frozen(tuple(ens.metadata.get(key) for key in _GABOR_KEYS))
-    memo = ens._memo.get("rebuilds")
-    if memo is None or memo[0] != seen:
-        memo = ens._memo["rebuilds"] = (seen, _rebuild_matches(ens))
-    return memo[1]
+    return _memoized(ens, "rebuilds", lambda: _rebuild_matches(ens))
 
 
 def _rebuild_matches(ens: FFEnsemble) -> bool:
@@ -803,15 +771,11 @@ def harmonic_etf(ctx: FieldCtx, ds: DifferenceSet) -> FFEnsemble:
     """
     d = ds.modulus
     omega = root_of_unity(ctx, d)
-    pows = np.zeros((d, ctx.deg), dtype=np.int64)
-    z = ctx.one()
-    for i in range(d):
-        pows[i] = z.coeffs
-        z = z * omega
+    pows = _powers(omega, d)
     rows = np.asarray(ds.elements)
     cols = np.arange(d)
     data = pows[np.outer(rows, cols) % d]  # (|D|, d, K)
-    return FFEnsemble(ctx, data.transpose(1, 0, 2), {"kind": "harmonic", "D": list(ds.elements)})
+    return FFEnsemble(ctx, data.transpose(1, 0, 2), {"kind": "harmonic", "D": ds.elements})
 
 
 # ---------------------------------------------------------------------------

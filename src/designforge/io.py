@@ -58,6 +58,7 @@ import hashlib
 import json
 import mmap
 import os
+from collections.abc import Mapping
 from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -121,7 +122,7 @@ def _encode_value(v: Any) -> Any:
         return int(v)
     if isinstance(v, (np.floating,)):
         return float(v)
-    if isinstance(v, dict):
+    if isinstance(v, Mapping):
         return {str(k): _encode_value(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_encode_value(x) for x in v]

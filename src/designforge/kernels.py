@@ -179,9 +179,8 @@ def dot_batch(x, y, red, p):
 
     No conjugation is applied; callers pass pre-conjugated operands.
     """
-    x, y, red = _as_i64(x), _as_i64(y), _as_i64(red)
-    xt = np.ascontiguousarray(x.transpose(0, 2, 1), dtype=np.float64)
-    return _pair_dots(xt, y.astype(np.float64), _fold_matrix(red, p), p)
+    idx = np.arange(len(x))
+    return gather_dot(x, y, idx, idx, red, p)
 
 
 def gather_dot(x, y, ki, kj, red, p):

@@ -252,7 +252,7 @@ def test_gabor_small_instance():
     assert (ens.n, ens.d) == (169, 13)
     assert ctx.p == 2 and ctx.deg == 12
     meta = ens.metadata
-    assert meta["kind"] == "gabor" and meta["D"] == [0, 1, 3, 9]
+    assert meta["kind"] == "gabor" and meta["D"] == (0, 1, 3, 9)
     assert meta["omega"] ** 13 == ctx.one()
     res = structural_gabor_verify(ens)
     assert res.params == (ctx.zero(), ctx.one(), ctx.zero())
@@ -396,10 +396,20 @@ def test_metadata_that_does_not_rebuild_the_data_gets_full_gram(key, value):
 )
 def test_metadata_forged_after_verification_is_not_trusted(forge):
     ens = gabor_ensemble(2, 6, 3)
-    assert structural_gabor_verify(ens).method == "structural-gabor"
-    forge(ens.metadata)
-    with pytest.raises(MetadataMissing):
-        structural_gabor_verify(ens)
+    res = structural_gabor_verify(ens)
+    assert res.method == "structural-gabor"
+    with pytest.raises((TypeError, AttributeError)):  # the metadata is read-only
+        forge(ens.metadata)
+    assert structural_gabor_verify(ens) == res
+
+
+def test_metadata_is_a_deep_copy_of_what_the_caller_passed():
+    ens = gabor_ensemble(2, 6, 3)
+    meta = {**ens.metadata, "D": list(ens.metadata["D"])}
+    copy = FFEnsemble(ens.ctx, ens.data, meta)
+    meta["D"][3] = 8
+    assert structural_gabor_verify(copy).method == "structural-gabor"
+    assert copy.metadata["D"] == (0, 1, 3, 9)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from designforge import cli, io, kernels
+from designforge import cdesigns, cli, io, kernels
 from designforge.cdesigns import CEnsemble, mub_ensemble, sic_catalog
 from designforge.ffcore import build_field
 from designforge.ffdesigns import FFEnsemble, gabor_ensemble, singer_difference_set
@@ -86,7 +86,7 @@ def test_finite_metadata_field_elements_round_trip(tmp_path):
     loaded, doc = _stable(tmp_path, ens, "gabor")
     meta = loaded.metadata
     assert meta["kind"] == "gabor"
-    assert meta["D"] == [0, 1, 3, 9]
+    assert meta["D"] == (0, 1, 3, 9)
     assert meta["alpha"] == ens.metadata["alpha"]
     assert meta["omega"] == ens.metadata["omega"]
     # elements are tagged objects, not bare lists
@@ -399,6 +399,16 @@ def test_finite_files_with_a_zero_dimension_load(tmp_path, shape):
     for loaded in (io.load_design(path), io.ensemble_from_design_file(io.load_json(path))):
         assert loaded.ctx is ctx
         assert loaded.data.shape == shape and loaded.data.dtype == np.int64
+
+
+@pytest.mark.parametrize("shape", [(3, 0, 2), (0, 0, 2)])
+def test_cli_finite_claims_fail_in_dimension_zero(tmp_path, capsys, shape):
+    f = str(tmp_path / "e.json")
+    io.save_design(f, FFEnsemble(build_field(3, 2), np.zeros(shape, dtype=np.int64)))
+    code, out = _run(capsys, ["verify", f, "--claims", "tight,etf,design"])
+    assert code == 1
+    assert out.splitlines()[:3] == ["tight: FAILED", "etf: FAILED", "design: FAILED"]
+    assert not any(c["ok"] for c in io.load_json(f + ".cert.json")["claims"])
 
 
 @pytest.mark.parametrize(
@@ -730,6 +740,15 @@ def test_cli_ebr_no_witness_available(tmp_path, capsys):
     assert doc["best_recorded"] == 17
     assert [row["bound"] for row in doc["table"]] == [17, 19, 20, 24, 40]
     assert not any(row["constructive"] for row in doc["table"])
+
+
+def test_cli_ebr_does_not_hide_catalog_errors(monkeypatch):
+    def broken(d):
+        raise RuntimeError("catalog bug")
+
+    monkeypatch.setattr(cdesigns, "mub_ensemble", broken)
+    with pytest.raises(RuntimeError):
+        cli.main(["ebr", "--d", "5"])
 
 
 def test_cli_ebr_witness_file_and_dimension_guard(tmp_path, capsys):
