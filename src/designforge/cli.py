@@ -3,6 +3,12 @@
 Exit codes are fixed for scripting: 0 success, 1 claim/witness failure,
 2 parse or usage failure, 3 computational budget exceeded.  Engine imports
 happen inside the handlers, so a command loads only the modules it uses.
+
+`verify` runs from one table, `_CLAIMS`: per ensemble type, each claim
+name and the function that returns its certificate entry.  Every requested
+name is checked against the loaded file before any claim runs.  Facts that
+claims share, such as the ETF verdict behind `etf` and `design`, are
+memoized on the ensemble.
 """
 
 from __future__ import annotations
@@ -71,164 +77,147 @@ def cmd_construct(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _verify_finite(ens, claims: List[str], tol: float) -> List[dict]:
-    from .ffdesigns import certify_tight_2design, check_tight_frame, verify_etf
+def _etf_entry(ens, tol: float) -> dict:
+    from .ffdesigns import verify_etf
 
-    out = []
-    for claim in claims:
-        if claim == "etf":
-            res = verify_etf(ens)
-            entry = {"name": claim, "method": res.method, "ok": bool(res), "exact": True}
-            if res:
-                entry["values"] = {k: v.to_int() for k, v in zip(("a", "b", "c"), res.params)}
-            else:
-                entry["counterexample"] = list(res.counterexample)
-            out.append(entry)
-        elif claim == "design":
-            cert = certify_tight_2design(ens)
-            entry = {
-                "name": claim,
-                "method": cert.method,
-                "ok": cert.is_design,
-                "exact": True,
-                "cross_checks": list(cert.cross_checks),
-            }
-            if cert.design is not None:
-                entry["values"] = {k: v.to_int() for k, v in zip(("a", "c1", "c2"), cert.design)}
-            if cert.failures:
-                entry["failures"] = list(cert.failures)
-            out.append(entry)
-        elif claim == "tight":
-            c = check_tight_frame(ens)
-            entry = {"name": claim, "method": "frame-operator", "ok": c is not None, "exact": True}
-            if c is not None:
-                entry["values"] = {"c": c.to_int()}
-            out.append(entry)
-        else:
-            raise UsageError(f"claim {claim!r} not defined for finite ensembles")
-    return out
+    res = verify_etf(ens)
+    entry = {"name": "etf", "method": res.method, "ok": bool(res), "exact": True}
+    if res:
+        entry["values"] = {k: v.to_int() for k, v in zip(("a", "b", "c"), res.params)}
+    else:
+        entry["counterexample"] = list(res.counterexample)
+    return entry
 
 
-def _verify_complex(ens, claims: List[str], tol: float) -> List[dict]:
+def _design_entry(ens, tol: float) -> dict:
+    from .ffdesigns import certify_tight_2design
+
+    cert = certify_tight_2design(ens)
+    entry = {
+        "name": "design",
+        "method": cert.method,
+        "ok": cert.is_design,
+        "exact": True,
+        "cross_checks": list(cert.cross_checks),
+    }
+    if cert.design is not None:
+        entry["values"] = {k: v.to_int() for k, v in zip(("a", "c1", "c2"), cert.design)}
+    if cert.failures:
+        entry["failures"] = list(cert.failures)
+    return entry
+
+
+def _tight_entry(ens, tol: float) -> dict:
+    from .ffdesigns import check_tight_frame
+
+    c = check_tight_frame(ens)
+    entry = {"name": "tight", "method": "frame-operator", "ok": c is not None, "exact": True}
+    if c is not None:
+        entry["values"] = {"c": c.to_int()}
+    return entry
+
+
+def _weighted_2_design_entry(ens, tol: float) -> dict:
     from .cdesigns import check_weighted_2design, frame_potential, potential_bound
 
-    out = []
-    for claim in claims:
-        if claim == "weighted-2-design":
-            resid = check_weighted_2design(ens)
-            out.append(
-                {
-                    "name": claim,
-                    "method": "moment-matrix",
-                    "ok": resid <= tol,
-                    "tolerance": tol,
-                    "residuals": {"moment": resid},
-                    "values": {
-                        "n": ens.n,
-                        "d": ens.d,
-                        "frame_potential_t2": frame_potential(ens, 2),
-                        "bound_t2": potential_bound(ens.d, 2),
-                    },
-                }
-            )
-        else:
-            raise UsageError(f"claim {claim!r} not defined for complex ensembles")
-    return out
+    resid = check_weighted_2design(ens)
+    return {
+        "name": "weighted-2-design",
+        "method": "moment-matrix",
+        "ok": resid <= tol,
+        "tolerance": tol,
+        "residuals": {"moment": resid},
+        "values": {
+            "n": ens.n,
+            "d": ens.d,
+            "frame_potential_t2": frame_potential(ens, 2),
+            "bound_t2": potential_bound(ens.d, 2),
+        },
+    }
 
 
-def _verify_quaternion(ens, claims: List[str], tol: float) -> List[dict]:
-    from .qdesigns import certify_fusion_frame, check_tight_q_design
+def _q_design_entry(ens, tol: float) -> dict:
+    from .qdesigns import check_tight_q_design
 
-    out = []
-    for claim in claims:
-        if claim == "q-design":
-            chk = check_tight_q_design(ens, tol=tol)
-            entry = {
-                "name": claim,
-                "method": "moments+equiangularity",
-                "ok": chk.ok,
-                "tolerance": tol,
-                "values": {"n": chk.n, "d": chk.d, "first": chk.first, "second": chk.second},
-            }
-            if chk.b is not None:
-                entry["values"]["b"] = chk.b
-            if not chk.ok:
-                entry["reason"] = chk.reason
-                if chk.witness:
-                    entry["witness"] = list(chk.witness)
-            out.append(entry)
-        elif claim == "fusion":
-            cert = certify_fusion_frame(ens, tol=tol)
-            entry = {
-                "name": claim,
-                "method": "cross-gramians",
-                "ok": cert.isoclinic and cert.tight,
-                "tolerance": tol,
-                "values": {
-                    "n": cert.n,
-                    "d": cert.d,
-                    "r": cert.r,
-                    "ambient_dim": cert.ambient_dim,
-                    "potential": cert.potential,
-                    "target": cert.target,
-                },
-                "residuals": {
-                    k: v for k, v in cert.residuals.items() if k != "tol"
-                },
-            }
-            if cert.alpha is not None:
-                entry["values"]["alpha"] = cert.alpha
-            if cert.witness:
-                entry["witness"] = list(cert.witness)
-            out.append(entry)
-        else:
-            raise UsageError(f"claim {claim!r} not defined for quaternion ensembles")
-    return out
+    chk = check_tight_q_design(ens, tol=tol)
+    entry = {
+        "name": "q-design",
+        "method": "moments+equiangularity",
+        "ok": chk.ok,
+        "tolerance": tol,
+        "values": {"n": chk.n, "d": chk.d, "first": chk.first, "second": chk.second},
+    }
+    if chk.b is not None:
+        entry["values"]["b"] = chk.b
+    if not chk.ok:
+        entry["reason"] = chk.reason
+        if chk.witness:
+            entry["witness"] = list(chk.witness)
+    return entry
 
 
-def _verify_difference_set(ds, claims: List[str]) -> List[dict]:
-    out = []
-    for claim in claims:
-        if claim == "difference-set":
-            out.append(
-                {
-                    "name": claim,
-                    "method": "exhaustive-differences",
-                    "ok": True,
-                    "exact": True,
-                    "values": {
-                        "modulus": ds.modulus,
-                        "size": len(ds.elements),
-                        "lambda": ds.lam,
-                    },
-                }
-            )
-        else:
-            raise UsageError(f"claim {claim!r} not defined for difference sets")
-    return out
+def _fusion_entry(ens, tol: float) -> dict:
+    from .qdesigns import certify_fusion_frame
+
+    cert = certify_fusion_frame(ens, tol=tol)
+    entry = {
+        "name": "fusion",
+        "method": "cross-gramians",
+        "ok": cert.isoclinic and cert.tight,
+        "tolerance": tol,
+        "values": {
+            "n": cert.n,
+            "d": cert.d,
+            "r": cert.r,
+            "ambient_dim": cert.ambient_dim,
+            "potential": cert.potential,
+            "target": cert.target,
+        },
+        "residuals": {k: v for k, v in cert.residuals.items() if k != "tol"},
+    }
+    if cert.alpha is not None:
+        entry["values"]["alpha"] = cert.alpha
+    if cert.witness:
+        entry["witness"] = list(cert.witness)
+    return entry
+
+
+def _difference_set_entry(ds, tol: float) -> dict:
+    # DifferenceSet.create verified the set when the file was loaded
+    return {
+        "name": "difference-set",
+        "method": "exhaustive-differences",
+        "ok": True,
+        "exact": True,
+        "values": {"modulus": ds.modulus, "size": len(ds.elements), "lambda": ds.lam},
+    }
+
+
+# loaded type name -> (the setting named in errors, claim name -> certificate entry)
+_CLAIMS = {
+    "FFEnsemble": (
+        "finite ensembles",
+        {"etf": _etf_entry, "design": _design_entry, "tight": _tight_entry},
+    ),
+    "CEnsemble": ("complex ensembles", {"weighted-2-design": _weighted_2_design_entry}),
+    "QEnsemble": ("quaternion ensembles", {"q-design": _q_design_entry, "fusion": _fusion_entry}),
+    "DifferenceSet": ("difference sets", {"difference-set": _difference_set_entry}),
+}
 
 
 def cmd_verify(args) -> int:
     from . import io
-    from .cdesigns import CEnsemble
-    from .ffdesigns import DifferenceSet, FFEnsemble
-    from .qdesigns import QEnsemble
 
     started = time.time()
     ens = io.load_design(args.file)
     claims = [c.strip() for c in args.claims.split(",") if c.strip()]
     if not claims:
         raise UsageError("no claims requested")
-    if isinstance(ens, FFEnsemble):
-        results = _verify_finite(ens, claims, args.tol)
-    elif isinstance(ens, CEnsemble):
-        results = _verify_complex(ens, claims, args.tol)
-    elif isinstance(ens, QEnsemble):
-        results = _verify_quaternion(ens, claims, args.tol)
-    elif isinstance(ens, DifferenceSet):
-        results = _verify_difference_set(ens, claims)
-    else:  # pragma: no cover
-        raise UsageError("unsupported file contents")
+    setting, entries = _CLAIMS[type(ens).__name__]
+    for claim in claims:
+        if claim not in entries:
+            raise UsageError(f"claim {claim!r} not defined for {setting}")
+    results = [entries[claim](ens, args.tol) for claim in claims]
     cert = io.make_certificate(args.file, results, time.time() - started)
     cert_path = args.cert or (args.file + ".cert.json")
     io.save_json(cert_path, cert)

@@ -16,10 +16,11 @@ certificate route for ensembles far too large to verify directly.
 
 An FFEnsemble's data and metadata are read-only, so a private memo can keep
 every fact the claims share for the ensemble's life: the conjugate, the
-frame operator, the tightness constant, the canonical products <x_0, x_j>
-and whether the Gabor metadata rebuilds the data.  `verify_etf` alone picks
-the ETF route: structural when that rebuild matches exactly, else the full
-Gram.
+frame operator, the tightness constant, the canonical products <x_0, x_j>,
+whether the Gabor metadata rebuilds the data, and the ETF verdict.
+`verify_etf` alone picks the ETF route (structural when that rebuild
+matches exactly, else the full Gram), so the ETF and design claims share
+one verdict.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ class FFEnsemble:
     data has shape (n, d, K) and is read-only; metadata (when present)
     records how the ensemble was built, e.g. Gabor parameters
     {p, k, r, D, alpha, omega}.  It is stored as a read-only deep copy:
-    mappings become MappingProxyType and lists become tuples.
+    mappings become MappingProxyType, and lists and numpy arrays become tuples.
     """
 
     __slots__ = ("ctx", "data", "metadata", "_memo")
@@ -211,6 +212,8 @@ def _read_only(v):
     """A deep copy of a metadata value that no caller can mutate (FieldElement is immutable)."""
     if isinstance(v, Mapping):
         return MappingProxyType({k: _read_only(x) for k, x in v.items()})
+    if isinstance(v, np.ndarray):
+        return _read_only(v.tolist())
     if isinstance(v, (list, tuple)):
         return tuple(_read_only(x) for x in v)
     return v
@@ -281,12 +284,14 @@ def _tight_constant(ens: FFEnsemble) -> Optional[FieldElement]:
 
 
 def check_vanishing_bound(ens: FFEnsemble) -> bool:
-    """For a 0-tight frame, n >= 2 dim V; a violation would be a bug here."""
+    """For a 0-tight frame, n >= 2 d; a violation would be a bug here.
+
+    A verified tight frame spans F^d, so its span has dimension d.
+    """
     c = check_tight_frame(ens)
     if c is None or not c.is_zero():
         raise PreconditionViolated("ensemble is not a verified 0-tight frame")
-    dim = rank(ens.ctx, ens.data)
-    return ens.n >= 2 * dim
+    return ens.n >= 2 * ens.d
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +299,7 @@ def check_vanishing_bound(ens: FFEnsemble) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class EtfCheck:
     """Outcome of an ETF verification: params or a concrete counterexample."""
 
@@ -310,8 +315,9 @@ def check_etf(ens: FFEnsemble) -> EtfCheck:
     """Verify equal norms a, common pair value b, tightness c, exhaustively.
 
     All n^2 inner products are formed.  On success the consistency
-    identities n a = c dim(span) and a(c - a) = (n-1) b are asserted; they
-    are theorems for any ETF, so a violation means an arithmetic bug.
+    identities n a = c d and a(c - a) = (n-1) b are asserted (a verified
+    tight frame spans F^d); they are theorems for any ETF, so a violation
+    means an arithmetic bug.
     """
     ctx = ens.ctx
     n = ens.n
@@ -332,8 +338,7 @@ def check_etf(ens: FFEnsemble) -> EtfCheck:
     c = check_tight_frame(ens)
     if c is None:
         return EtfCheck(None, ("tightness", 0, 0))
-    dim = ens.d if not c.is_zero() else rank(ctx, ens.data)
-    if ctx.scalar(n) * a != c * ctx.scalar(dim):
+    if ctx.scalar(n) * a != c * ctx.scalar(ens.d):
         raise DesignError("internal: trace identity n a = c dim failed")
     if a * (c - a) != ctx.scalar(n - 1) * b:
         raise DesignError("internal: row-sum identity a(c-a) = (n-1) b failed")
@@ -402,12 +407,7 @@ def _hermitian_coordinates(ens: FFEnsemble) -> np.ndarray:
     return np.concatenate([diag, u, v], axis=1)
 
 
-def check_gerzon(
-    ens: FFEnsemble,
-    a: FieldElement,
-    b: FieldElement,
-    span_budget: int = NAIVE_MULTIPLY_BUDGET,
-) -> GerzonReport:
+def check_gerzon(ens: FFEnsemble, a: FieldElement, b: FieldElement) -> GerzonReport:
     """n <= d^2 for an (a, b)-equiangular system with a^2 != b.
 
     At n = d^2 the rank-one matrices are additionally checked to span the
@@ -421,7 +421,7 @@ def check_gerzon(
     report = GerzonReport(n=n, d=d, bound_holds=n <= d * d)
     if not report.bound_holds or n != d * d:
         return report
-    if n * d**4 > span_budget:
+    if n * d**4 > NAIVE_MULTIPLY_BUDGET:
         report.note = "span check skipped: over elimination budget"
         return report
     ctx = ens.ctx
@@ -461,15 +461,13 @@ def _sym_span_ok(ens: FFEnsemble, lifted: np.ndarray) -> bool:
     return rank(ens.ctx, lifted, max_pivots=target + 1) == target
 
 
-def check_2design_naive(
-    ens: FFEnsemble, budget: int = NAIVE_MULTIPLY_BUDGET
-) -> Optional[FieldElement]:
+def check_2design_naive(ens: FFEnsemble) -> Optional[FieldElement]:
     """Dense route: sum_k (x_k (x) x_k)(x_k (x) x_k)* compared to c2 Pi."""
     ctx = ens.ctx
     if ctx.p == 2:
         raise EvenCharacteristic("2-design verification needs odd characteristic")
     n, d = ens.n, ens.d
-    if n * d**4 > budget:
+    if n * d**4 > NAIVE_MULTIPLY_BUDGET:
         raise BudgetExceeded(f"naive route cost n d^4 = {n * d ** 4} over budget")
     lifted = _lifted_vectors(ens)
     lf = frobenius_array(ctx, lifted)
@@ -483,9 +481,7 @@ def check_2design_naive(
     return c2
 
 
-def check_2design_psi(
-    ens: FFEnsemble, budget: int = PSI_MULTIPLY_BUDGET
-) -> Optional[FieldElement]:
+def check_2design_psi(ens: FFEnsemble) -> Optional[FieldElement]:
     """Blockwise route via the map A -> sum_k (x_k* A x_k) x_k x_k*.
 
     On the matrix units the map must return (c2/2)(e_j e_i* + delta_ij I).
@@ -496,8 +492,8 @@ def check_2design_psi(
     if ctx.p == 2:
         raise EvenCharacteristic("2-design verification needs odd characteristic")
     n, d = ens.n, ens.d
-    if n * d**4 > budget:
-        raise BudgetExceeded(f"psi route cost n d^4 = {n * d ** 4} over budget")
+    if n * d**4 > PSI_MULTIPLY_BUDGET:
+        raise BudgetExceeded(f"n d^4 = {n * d ** 4} > {PSI_MULTIPLY_BUDGET}")
     # X[k, i*d+j] = x_k[i] frob(x_k[j]) — both the blocks' coefficients and
     # the rank-one matrices themselves
     x = kernels.mul_batch(ens.data[:, :, None], _conjugate(ens)[:, None], ctx.red, ctx.p)
@@ -540,8 +536,6 @@ class FFCertificate:
     n: int
     d: int
     method: str = ""
-    tight_c: Optional[FieldElement] = None
-    equiangular: Optional[Tuple[FieldElement, FieldElement]] = None
     etf: Optional[Tuple[FieldElement, FieldElement, FieldElement]] = None
     design: Optional[Tuple[FieldElement, FieldElement, FieldElement]] = None
     failures: List[str] = field(default_factory=list)
@@ -558,7 +552,8 @@ def certify_tight_2design(ens: FFEnsemble) -> FFCertificate:
     An ETF whose (a, b, c1) satisfy a^2 != b together with
     a(a^2 - b) = b c1 (for a != 0) or d = -1 mod p (for a = 0) is an
     (a, c1, c2)-design with c2 = 2(a^2 - b).  ETF parameters come from
-    `verify_etf`.  Within budget the blockwise route re-verifies c2.
+    `verify_etf`, the memoized verdict that the ETF claim reports too.
+    Within budget the blockwise route re-verifies c2.
     """
     ctx = ens.ctx
     n, d = ens.n, ens.d
@@ -570,8 +565,6 @@ def certify_tight_2design(ens: FFEnsemble) -> FFCertificate:
         return cert
     a, b, c1 = res.params
     cert.etf = (a, b, c1)
-    cert.equiangular = (a, b)
-    cert.tight_c = c1
     if ctx.p == 2:
         cert.failures.append(
             "even characteristic: design criterion needs odd q (EvenCharacteristic)"
@@ -598,14 +591,14 @@ def certify_tight_2design(ens: FFEnsemble) -> FFCertificate:
         raise DesignError("internal: a = 0 iff c1 = 0 violated on a certified design")
     if n < d * d:
         raise DesignError("internal: certified design with n < d^2")
-    cost = n * d**4
-    if cost <= PSI_MULTIPLY_BUDGET:
+    try:
         got = check_2design_psi(ens)
-        if got is None or got != c2:
-            raise DesignError("internal: blockwise route contradicts certificate")
-        cert.cross_checks.append("psi-route agrees")
-    else:
-        cert.cross_checks.append(f"psi-route skipped: n d^4 = {cost} > {PSI_MULTIPLY_BUDGET}")
+    except BudgetExceeded as exc:
+        cert.cross_checks.append(f"psi-route skipped: {exc}")
+        return cert
+    if got is None or got != c2:
+        raise DesignError("internal: blockwise route contradicts certificate")
+    cert.cross_checks.append("psi-route agrees")
     return cert
 
 
@@ -754,13 +747,15 @@ def verify_etf(ens: FFEnsemble) -> EtfCheck:
     """ETF verification by the cheapest sound route, named in the result's method.
 
     The structural route when Gabor metadata rebuilds the data, the full
-    Gram (`check_etf`) for every other ensemble.
+    Gram (`check_etf`) for every other ensemble.  The verdict is computed
+    once per ensemble.
     """
-    if ens.metadata.get("kind") == "gabor":
-        try:
-            return structural_gabor_verify(ens)
-        except MetadataMissing:
-            pass
+    return _memoized(ens, "etf", lambda: _etf_verdict(ens))
+
+
+def _etf_verdict(ens: FFEnsemble) -> EtfCheck:
+    if ens.metadata.get("kind") == "gabor" and _rebuilds_gabor(ens):
+        return structural_gabor_verify(ens)
     return check_etf(ens)
 
 

@@ -231,18 +231,18 @@ def partial_trace_1(m: FFMatrix, d_left: int) -> FFMatrix:
     return FFMatrix(m.ctx, out)
 
 
-def sym_projector(ctx: FieldCtx, d: int, max_dim: int = SYM_PROJECTOR_MAX_DIM) -> FFMatrix:
+def sym_projector(ctx: FieldCtx, d: int) -> FFMatrix:
     """Projector onto the symmetric subspace of F^d (x) F^d, materialized.
 
     Equals (I + SWAP)/2, so odd characteristic is required.  Dense
-    materialization is limited to d <= max_dim; larger d should go through
-    the implicit symmetrization used by the block verifier.
+    materialization is limited to d <= SYM_PROJECTOR_MAX_DIM; larger d
+    should go through the implicit symmetrization used by the block verifier.
     """
     if ctx.p == 2:
         raise EvenCharacteristic("symmetric projector needs 1/2; p = 2 has none")
-    if d > max_dim:
+    if d > SYM_PROJECTOR_MAX_DIM:
         raise BudgetExceeded(
-            f"dense symmetric projector limited to d <= {max_dim}, got {d}"
+            f"dense symmetric projector limited to d <= {SYM_PROJECTOR_MAX_DIM}, got {d}"
         )
     n = d * d
     inv2 = pow(2, ctx.p - 2, ctx.p)
@@ -315,32 +315,3 @@ def nullspace(ctx: FieldCtx, a: np.ndarray) -> np.ndarray:
             basis[bi, pc] = (-ech[ri, fc]) % ctx.p
     return basis
 
-
-def inverse(ctx: FieldCtx, a: np.ndarray) -> Optional[np.ndarray]:
-    """Exact inverse of a square (n, n, K) array, or None when singular."""
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError("inverse needs a square matrix")
-    eye = np.zeros((n, n, ctx.deg), dtype=np.int64)
-    eye[np.arange(n), np.arange(n), 0] = 1
-    aug = np.concatenate([np.asarray(a, dtype=np.int64) % ctx.p, eye], axis=1)
-    ech, pivots = row_echelon(ctx, aug)
-    if pivots[:n] != list(range(n)) or len(pivots) != n:
-        return None
-    return np.ascontiguousarray(ech[:, n:, :])
-
-
-def solve(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """One exact solution of A x = b, or None when inconsistent.
-
-    a is (R, C, K), b is (R, K); free variables are set to zero.
-    """
-    rows, cols = a.shape[0], a.shape[1]
-    aug = np.concatenate([a, b.reshape(rows, 1, ctx.deg)], axis=1)
-    ech, pivots = row_echelon(ctx, aug)
-    if cols in pivots:
-        return None
-    x = np.zeros((cols, ctx.deg), dtype=np.int64)
-    for ri, pc in enumerate(pivots):
-        x[pc] = ech[ri, cols]
-    return x

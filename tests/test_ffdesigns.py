@@ -1,5 +1,7 @@
 """Difference sets, finite-field frames, and the exact 2-design verifiers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -182,11 +184,13 @@ def test_design_checks_reject_even_characteristic():
         check_2design_psi(ens)
 
 
-def test_design_checks_respect_budget(f9):
+def test_design_checks_respect_budget(f9, monkeypatch):
+    monkeypatch.setattr(ffdesigns, "NAIVE_MULTIPLY_BUDGET", 1)
+    monkeypatch.setattr(ffdesigns, "PSI_MULTIPLY_BUDGET", 1)
     with pytest.raises(BudgetExceeded):
-        check_2design_naive(f9, budget=1)
-    with pytest.raises(BudgetExceeded):
-        check_2design_psi(f9, budget=1)
+        check_2design_naive(f9)
+    with pytest.raises(BudgetExceeded, match=r"^n d\^4 = 64 > 1$"):
+        check_2design_psi(f9)
 
 
 def test_certificate_shows_skipped_psi_budget(f9, monkeypatch):
@@ -412,6 +416,21 @@ def test_metadata_is_a_deep_copy_of_what_the_caller_passed():
     assert copy.metadata["D"] == (0, 1, 3, 9)
 
 
+def test_metadata_arrays_are_copied(f9):
+    arr = np.array([1, 2, 3])
+    ens = FFEnsemble(f9.ctx, f9.data, {"x": arr})
+    arr[0] = 99
+    assert ens.metadata["x"] == (1, 2, 3)
+
+
+def test_metadata_array_that_rebuilds_the_data_gets_the_structural_route():
+    ens = gabor_ensemble(2, 6, 3)
+    copy = FFEnsemble(ens.ctx, ens.data, {**ens.metadata, "D": np.array([0, 1, 3, 9])})
+    res = verify_etf(copy)
+    assert res.method == "structural-gabor"
+    assert [v.to_int() for v in res.params] == [0, 1, 0]
+
+
 # ---------------------------------------------------------------------------
 # per-ensemble memo
 # ---------------------------------------------------------------------------
@@ -446,3 +465,33 @@ def test_conjugate_computed_once_per_ensemble(monkeypatch):
     assert certify_tight_2design(ens) == cert
     assert check_tight_frame(ens) == check_tight_frame(ens) == res.params[2]
     assert rebuilds == [(2, 6, 3)]
+
+
+def _counting(monkeypatch, name):
+    """Replace ffdesigns.<name> by a wrapper that records each call."""
+    calls = []
+    real = getattr(ffdesigns, name)
+    monkeypatch.setattr(ffdesigns, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def test_verified_tight_frame_is_not_row_reduced_again(monkeypatch):
+    ens = gabor_ensemble(2, 6, 3)
+    plain = FFEnsemble(ens.ctx, ens.data)  # c = 0, no metadata: the full Gram route
+    ranks = _counting(monkeypatch, "rank")
+    res = check_etf(plain)
+    assert [v.to_int() for v in res.params] == [0, 1, 0]
+    assert check_vanishing_bound(plain)
+    assert len(ranks) == 1  # the spanning check of c = 0 tightness, and only that
+
+
+def test_etf_verdict_computed_once_per_ensemble(monkeypatch):
+    ens = gabor_ensemble(2, 6, 3)
+    plain = FFEnsemble(ens.ctx, ens.data)
+    full_grams = _counting(monkeypatch, "check_etf")
+    res = verify_etf(plain)
+    assert verify_etf(plain) is res
+    assert certify_tight_2design(plain).etf == res.params
+    assert len(full_grams) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.method = "structural-gabor"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from designforge import cdesigns, cli, io, kernels
+from designforge import cdesigns, cli, ffdesigns, io, kernels
 from designforge.cdesigns import CEnsemble, mub_ensemble, sic_catalog
 from designforge.ffcore import build_field
 from designforge.ffdesigns import FFEnsemble, gabor_ensemble, singer_difference_set
@@ -659,6 +659,31 @@ def test_cli_unknown_claim_exits_2(tmp_path, capsys, f9):
     f = str(tmp_path / "f9.json")
     io.save_design(f, f9)
     assert cli.main(["verify", f, "--claims", "unitary"]) == 2
+
+
+def test_cli_checks_every_claim_before_running_any(tmp_path, capsys, monkeypatch):
+    etf_runs = []
+    monkeypatch.setattr(ffdesigns, "verify_etf", lambda ens: etf_runs.append(ens))
+    f = fixture_path("f9_d2_design.json")
+    cert_path = str(tmp_path / "f9.cert.json")
+    code = cli.main(["verify", f, "--claims", "etf,fusion", "--cert", cert_path])
+    assert code == 2
+    assert "claim 'fusion' not defined for finite ensembles" in capsys.readouterr().err
+    assert not os.path.exists(cert_path)
+    assert etf_runs == []
+
+
+def test_cli_etf_and_design_share_one_full_gram(tmp_path, capsys, monkeypatch):
+    ens = gabor_ensemble(2, 6, 3)
+    f = str(tmp_path / "plain.json")
+    io.save_design(f, FFEnsemble(ens.ctx, ens.data))  # no metadata: the full Gram route
+    full_grams = []
+    real = ffdesigns.check_etf
+    monkeypatch.setattr(ffdesigns, "check_etf", lambda e: full_grams.append(e) or real(e))
+    code, out = _run(capsys, ["verify", f, "--claims", "etf,design"])
+    assert code == 1  # even characteristic: no design criterion
+    assert "etf: ok" in out and "design: FAILED" in out
+    assert len(full_grams) == 1
 
 
 def test_cli_budget_exhaustion_exits_3(tmp_path, capsys):
