@@ -374,10 +374,9 @@ def cmd_export(args) -> int:
     from .ffdesigns import DifferenceSet, FFEnsemble
     from .qdesigns import QEnsemble
 
-    doc = io.load_json(args.file)
-    ens = io.ensemble_from_design_file(doc)
+    ens = io.load_design(args.file)
     if args.format == "json":
-        io.save_json(args.out, doc)
+        io.save_design(args.out, ens)
         print(f"wrote {args.out}")
         return EXIT_OK
     # CSV: one row per vector, flat real coordinates

@@ -15,8 +15,8 @@ dense tensor comparison and a blockwise map comparison) plus a parameter
 certificate route for ensembles far too large to verify directly.
 
 An FFEnsemble's data and metadata are read-only, so a private memo can keep
-every fact the claims share for the ensemble's life: the conjugate, the
-frame operator, the tightness constant, the canonical products <x_0, x_j>,
+every fact the claims share for the ensemble's life: the frame operator,
+the tightness constant, the canonical products <x_0, x_j>,
 whether the Gabor metadata rebuilds the data, and the ETF verdict.
 `verify_etf` alone picks the ETF route (structural when that rebuild
 matches exactly, else the full Gram), so the ETF and design claims share
@@ -228,11 +228,6 @@ def _memoized(ens: FFEnsemble, key: str, compute: Callable):
     return ens._memo[key]
 
 
-def _conjugate(ens: FFEnsemble) -> np.ndarray:
-    """frob(x_k) entrywise for every vector."""
-    return _memoized(ens, "conjugate", lambda: frobenius_array(ens.ctx, ens.data))
-
-
 def _frame_operator(ens: FFEnsemble) -> np.ndarray:
     """S = sum_k x_k x_k* as a (d, d, K) array."""
     ctx = ens.ctx
@@ -250,7 +245,7 @@ def _norm_values(ens: FFEnsemble, ips: np.ndarray) -> np.ndarray:
 def _pair_inner(ens: FFEnsemble, ki: np.ndarray, kj: np.ndarray) -> np.ndarray:
     """<x_{ki[m]}, x_{kj[m]}> for index arrays, conjugating the first slot."""
     ctx = ens.ctx
-    return kernels.gather_dot(_conjugate(ens), ens.data, ki, kj, ctx.red, ctx.p)
+    return kernels.gather_dot(ens.data, ens.data, ki, kj, ctx.red, ctx.p, _frob_matrix(ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +391,8 @@ def _hermitian_coordinates(ens: FFEnsemble) -> np.ndarray:
     alpha = primitive_element(ctx)
     denom = (alpha - frobenius(alpha)).inverse()
     # rank-one matrices x_k x_k*, entry (i, j) = x[i] frob(x[j])
-    xx = kernels.mul_batch(ens.data[:, :, None], _conjugate(ens)[:, None], ctx.red, ctx.p)
+    xf = frobenius_array(ctx, ens.data)
+    xx = kernels.mul_batch(ens.data[:, :, None], xf[:, None], ctx.red, ctx.p)
     iu, ju = np.triu_indices(d, k=1)
     e = xx[:, iu, ju]  # off-diagonal entries e = u + alpha v
     diff = (e - frobenius_array(ctx, e)) % ctx.p
@@ -496,7 +492,8 @@ def check_2design_psi(ens: FFEnsemble) -> Optional[FieldElement]:
         raise BudgetExceeded(f"n d^4 = {n * d ** 4} > {PSI_MULTIPLY_BUDGET}")
     # X[k, i*d+j] = x_k[i] frob(x_k[j]) — both the blocks' coefficients and
     # the rank-one matrices themselves
-    x = kernels.mul_batch(ens.data[:, :, None], _conjugate(ens)[:, None], ctx.red, ctx.p)
+    xf = frobenius_array(ctx, ens.data)
+    x = kernels.mul_batch(ens.data[:, :, None], xf[:, None], ctx.red, ctx.p)
     x = x.reshape(n, d * d, ctx.deg)
     psi = kernels.matmul(x.transpose(1, 0, 2), x, ctx.red, ctx.p)  # (d^2, d^2, K)
     if d == 1:
@@ -608,7 +605,7 @@ def decomposition_check(ens: FFEnsemble, c2: FieldElement, a_mat: FFMatrix) -> b
         raise ZeroC2("reconstruction needs c2 != 0")
     ctx, d = ens.ctx, ens.d
     xs = ens.data
-    xf = _conjugate(ens)
+    xf = frobenius_array(ctx, xs)
     t1 = kernels.matmul(xf, a_mat.data, ctx.red, ctx.p)  # (n, d, K)
     w = kernels.dot_batch(t1, xs, ctx.red, ctx.p)  # w_k = x_k* A x_k
     scaled = kernels.mul_batch(w[:, None], xs, ctx.red, ctx.p)

@@ -171,8 +171,7 @@ def herm_inner(x: FFVector, y: FFVector) -> FieldElement:
     if len(x) != len(y):
         raise ValueError("length mismatch")
     ctx = x.ctx
-    xf = frobenius_array(ctx, x.data)
-    out = kernels.dot_batch(xf[None], y.data[None], ctx.red, ctx.p)[0]
+    out = kernels.dot_batch(x.data[None], y.data[None], ctx.red, ctx.p, _frob_matrix(ctx))[0]
     return FieldElement(ctx, out)
 
 

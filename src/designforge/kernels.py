@@ -29,13 +29,20 @@ make two float64 products:
    for ``matmul``.
 2. One product with the fold matrix; mod p is taken once at the end.
 
-``frame_operator`` forms S[i, j] = sum_n x[n, i] * frob(x[n, j]) for an
-F_p-linear map frob (the conjugation).  Linearity moves frob into the fold:
-H[a*K+b, t] = sum_c frob[c, b] * fold[a*K+c, t] is coefficient t of
-x^a * frob(x^b).  Step 1 is then G = X^T X for X = x.reshape(N, D*K), a
-symmetric product that numpy hands to BLAS syrk (the inner blocks of the
-exact product are two views of one buffer, so they keep that path), and
-step 2 folds G with H one row i at a time.
+The conjugation frob is an F_p-linear map, given as a (K, K) matrix with
+frob(v) = frob @ v, so it moves into the fold: the conjugated fold H, with
+H[b*K+j, t] = sum_c frob[c, b] * fold[c*K+j, t] the coefficient t of
+frob(x^b) * x^j, is one (K, K) @ (K, K^2) product, built once per field.
+The dot kernels take an optional ``frob`` that conjugates their first
+operand: step 2 then folds with H, and no conjugated copy of an operand is
+made.
+
+``frame_operator`` forms S[i, j] = sum_n x[n, i] * frob(x[n, j]).  Step 1 is
+G = X^T X for X = x.reshape(N, D*K), summed over row blocks X_b of X: each
+X_b^T X_b is a symmetric product that numpy hands to BLAS syrk, and only one
+block of X is held in float64 at a time.  Step 2 folds G one row i at a
+time, reducing that row mod p first, with H's two factors swapped (the fold
+is symmetric in i and j, so row a*K+b is then x^a * frob(x^b)).
 
 ``elim_update`` multiplies every row by the same pivot, and multiplying by a
 fixed pivot entry is a linear map on coefficient vectors: its (K, K) matrix,
@@ -48,11 +55,13 @@ Float64 holds every integer below 2^53, and all operands are residues in
 The kernels enforce this and raise OverflowError rather than round:
 
 - product step: inner length * (p-1)^2 < 2^53; a longer inner dimension is
-  split into blocks with a reduction mod p after each;
+  split into blocks with a reduction mod p after each (``frame_operator``
+  reduces G mod p before its running row count, with a reduced entry
+  counted as one row, would pass that length);
 - fold: K^2 * (p-1)^2 < 2^53; P (or G) is reduced mod p before the fold.
   The same check covers ``elim_update``, whose two products (pivot with
   fold, then factors with the reduced pivot matrices) each sum K products of
-  residues, and ``frame_operator``'s H, a sum of K products reduced mod p;
+  residues, and the conjugated fold H, a sum of K products reduced mod p;
 - modulus reduction of a convolution (``mul_batch``): (K-1) * (p-1)^2 <
   2^53; ``fflinalg.frobenius_array``: K * (p-1)^2 < 2^53.
 
@@ -96,6 +105,22 @@ def _fold_matrix(red, p):
     k = red.shape[1]
     _check_exact(k * k, p, "coefficient fold")
     return _fold_cached(p, k, red.tobytes())
+
+
+@functools.lru_cache(maxsize=16)
+def _conj_fold_cached(p, k, red_bytes, frob_bytes):
+    frob = np.frombuffer(frob_bytes, dtype=np.int64).reshape(k, k).astype(np.float64)
+    fold = _fold_cached(p, k, red_bytes).reshape(k, k * k)
+    # K products of residues each, inside the fold bound
+    h = _mod_exact(frob.T @ fold, p).reshape(k * k, k)
+    h.flags.writeable = False
+    return h
+
+
+def _conj_fold(frob, red, p):
+    """(K^2, K) matrix whose row b*K+j is frob(x^b) * x^j reduced mod the field modulus."""
+    _fold_matrix(red, p)  # the fold's exactness check
+    return _conj_fold_cached(p, red.shape[1], red.tobytes(), frob.tobytes())
 
 
 def _mod_exact(x, p):
@@ -174,20 +199,21 @@ def mul_batch(a, b, red, p):
     return _reduce(conv.reshape(-1, 2 * k - 1), red, p).reshape(shape + (k,))
 
 
-def dot_batch(x, y, red, p):
+def dot_batch(x, y, red, p, frob=None):
     """Row-wise dot products sum_e x[n,e]*y[n,e]: (N,D,K)x(N,D,K)->(N,K).
 
-    No conjugation is applied; callers pass pre-conjugated operands.
+    With a (K, K) matrix frob the first operand is conjugated:
+    sum_e frob(x[n,e])*y[n,e].
     """
     idx = np.arange(len(x))
-    return gather_dot(x, y, idx, idx, red, p)
+    return gather_dot(x, y, idx, idx, red, p, frob)
 
 
-def gather_dot(x, y, ki, kj, red, p):
+def gather_dot(x, y, ki, kj, red, p, frob=None):
     """dot_batch on gathered row pairs (x[ki[b]], y[kj[b]])."""
     x, y, ki, kj, red = _as_i64(x), _as_i64(y), _as_i64(ki), _as_i64(kj), _as_i64(red)
+    fold = _fold_matrix(red, p) if frob is None else _conj_fold(_as_i64(frob), red, p)
     # gather int64 rows in chunks and convert only the chunk: peak memory stays flat
-    fold = _fold_matrix(red, p)
     m = ki.shape[0]
     _, d, k = x.shape
     step = max(1, _GATHER_CHUNK // max(d * k, 1))
@@ -227,15 +253,27 @@ def frame_operator(x, frob, red, p):
     """
     x, frob, red = _as_i64(x), _as_i64(frob), _as_i64(red)
     n, d, k = x.shape
-    fold = _fold_matrix(red, p).reshape(k, k, k)
-    # h[a*K+b, t]: coefficient t of x^a * frob(x^b); K products each, inside the fold bound
-    h = _mod_exact(np.einsum("cb,act->abt", frob.astype(np.float64), fold), p).reshape(k * k, k)
-    xf = x.reshape(n, d * k).astype(np.float64)
-    g = _exact_matmul(xf.T, xf, p).reshape(d, k, d, k)  # symmetric: BLAS syrk
-    del xf
+    # row a*K+b is x^a * frob(x^b): the conjugated fold's two factors swapped
+    h = _conj_fold(frob, red, p).reshape(k, k, k).transpose(1, 0, 2).reshape(k * k, k)
+    # G = X^T X summed over row blocks of X = x.reshape(N, D*K), one block in float at a time
+    g = np.zeros((d * k, d * k))
+    blk = (_EXACT - 1) // (p - 1) ** 2  # rows whose sum stays below 2^53
+    step = max(1, min(_MATMUL_BLOCK // max(d * k, 1), blk - 1))
+    summed = 0  # rows in g since its last reduction; a residue counts as one
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        if summed + hi - lo > blk:
+            for row in g:
+                _mod_exact(row, p)
+            summed = 1
+        xf = x[lo:hi].reshape(hi - lo, d * k).astype(np.float64)
+        g += xf.T @ xf  # symmetric: BLAS syrk
+        summed += hi - lo
+        del xf  # before the next block is converted
+    g = g.reshape(d, k, d, k)
     out = np.empty((d, d, k), dtype=np.int64)
-    for i in range(d):  # fold one row of G at a time, not a transposed copy of all of it
-        out[i] = g[i].transpose(1, 0, 2).reshape(d, k * k) @ h
+    for i in range(d):  # reduce and fold one row of G at a time, not a copy of all of it
+        out[i] = _mod_exact(g[i], p).transpose(1, 0, 2).reshape(d, k * k) @ h
     out %= p
     return out
 

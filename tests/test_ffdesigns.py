@@ -441,13 +441,16 @@ def test_ensemble_data_is_read_only(f9):
         f9.data[0, 0, 0] = 1
 
 
-def test_conjugate_computed_once_per_ensemble(monkeypatch):
+def test_conjugate_computed_once_per_ensemble(monkeypatch, f9):
+    # the dot kernels conjugate inside their fold, so the ETF routes never
+    # conjugate the data; only the psi route builds frob(x_k), once
     ens = gabor_ensemble(2, 6, 3)
-    on_data = []
+    odd = FFEnsemble(f9.ctx, f9.data)  # a fresh memo in odd characteristic: psi runs
+    seen = []
     real = ffdesigns.frobenius_array
 
     def counting(ctx, arr):
-        on_data.append(arr is ens.data)
+        seen.append(arr)
         return real(ctx, arr)
 
     monkeypatch.setattr(ffdesigns, "frobenius_array", counting)
@@ -460,9 +463,13 @@ def test_conjugate_computed_once_per_ensemble(monkeypatch):
     cert = certify_tight_2design(ens)
     a, b, _ = res.params
     assert gram_sample_check(ens, a, b, pairs=500)
-    assert sum(on_data) == 1
+    assert not any(arr is ens.data for arr in seen)
+    odd_cert = certify_tight_2design(odd)
+    assert "psi-route agrees" in odd_cert.cross_checks
+    assert sum(arr is odd.data for arr in seen) <= 1
     assert structural_gabor_verify(ens) == res
     assert certify_tight_2design(ens) == cert
+    assert certify_tight_2design(odd) == odd_cert
     assert check_tight_frame(ens) == check_tight_frame(ens) == res.params[2]
     assert rebuilds == [(2, 6, 3)]
 

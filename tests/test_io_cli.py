@@ -830,6 +830,21 @@ def test_cli_export_json_reemits_canonical_bytes(tmp_path, capsys):
         assert src == dup, name
 
 
+def test_cli_export_json_writes_the_inputs_canonical_bytes(tmp_path, capsys):
+    ds = str(tmp_path / "ds.json")
+    _run(capsys, ["construct", "singer", "--r", "3", "--out", ds])
+    for name, f in [
+        ("finite", fixture_path("f9_d2_design.json")),
+        ("complex", fixture_path("sic_d2_fiducial.json")),
+        ("difference-set", ds),
+    ]:
+        out_json = str(tmp_path / f"{name}.copy.json")
+        code, _ = _run(capsys, ["export", f, "--format", "json", "--out", out_json])
+        assert code == 0
+        with open(out_json, "rb") as fh:
+            assert fh.read() == io.canonical_dumps(io.load_json(f)).encode("ascii"), name
+
+
 def test_cli_export_csv_shapes(tmp_path, capsys):
     cases = [
         (["construct", "sic", "--d", "2"], "sic", 1 + 4, 1 + 1 + 4),

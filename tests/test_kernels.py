@@ -122,6 +122,20 @@ def _dot_oracle(ctx, xs, ys):
     return acc.coeffs
 
 
+def _conj_dot_oracle(ctx, xs, ys):
+    acc = ctx.zero()
+    for xe, ye in zip(xs, ys):
+        acc = acc + frobenius(_as_elem(ctx, xe)) * _as_elem(ctx, ye)
+    return acc.coeffs
+
+
+def _frame_oracle(ctx, x, i, j):
+    acc = ctx.zero()
+    for row in x:
+        acc = acc + _as_elem(ctx, row[i]) * frobenius(_as_elem(ctx, row[j]))
+    return acc.coeffs
+
+
 @pytest.mark.parametrize("p,k", BENCH_FIELDS)
 def test_gather_dot_spans_chunks(p, k):
     ctx = build_field(p, k)
@@ -134,8 +148,28 @@ def test_gather_dot_spans_chunks(p, k):
     ki = rng.integers(0, n, size=m)
     kj = rng.integers(0, n, size=m)
     got = kernels.gather_dot(x, y, ki, kj, ctx.red, ctx.p)
+    conj = kernels.gather_dot(x, y, ki, kj, ctx.red, ctx.p, ctx.frob_power_matrix(k // 2))
     for r in (0, step - 1, step, 2 * step + 1, m - 1):
         assert np.array_equal(got[r], _dot_oracle(ctx, x[ki[r]], y[kj[r]])), r
+        assert np.array_equal(conj[r], _conj_dot_oracle(ctx, x[ki[r]], y[kj[r]])), r
+
+
+@pytest.mark.parametrize("p,k", BENCH_FIELDS)
+def test_dot_kernels_conjugate_the_first_operand(p, k):
+    ctx = build_field(p, k)
+    rng = np.random.default_rng(3 * p + k)
+    n, d = 6, 5
+    x = _rand_elems(rng, ctx, (n, d))
+    y = _rand_elems(rng, ctx, (n, d))
+    ki = rng.integers(0, n, size=10)
+    kj = rng.integers(0, n, size=10)
+    frob = ctx.frob_power_matrix(k // 2)
+    dots = kernels.dot_batch(x, y, ctx.red, ctx.p, frob)
+    gd = kernels.gather_dot(x, y, ki, kj, ctx.red, ctx.p, frob)
+    for r in range(n):
+        assert np.array_equal(dots[r], _conj_dot_oracle(ctx, x[r], y[r])), r
+    for r, (i, j) in enumerate(zip(ki, kj)):
+        assert np.array_equal(gd[r], _conj_dot_oracle(ctx, x[i], y[j])), r
 
 
 def test_gather_dot_converts_only_gathered_rows():
@@ -168,6 +202,37 @@ def test_matmul_spans_row_blocks(p, k):
     for r, c in ((0, 0), (step - 1, 7), (step, 39), (2 * step, 1), (rows - 1, 20)):
         want = _dot_oracle(ctx, a[r], b[:, c])
         assert np.array_equal(got[r, c], want), (r, c)
+
+
+@pytest.mark.parametrize("p,k", BENCH_FIELDS)
+def test_frame_operator_spans_row_blocks(p, k, monkeypatch):
+    ctx = build_field(p, k)
+    rng = np.random.default_rng(p + 5 * k)
+    n, d = 23, 3
+    monkeypatch.setattr(kernels, "_MATMUL_BLOCK", 5 * d * k)  # 5 rows a block, 5 blocks
+    x = _rand_elems(rng, ctx, (n, d))
+    got = kernels.frame_operator(x, ctx.frob_power_matrix(k // 2), ctx.red, ctx.p)
+    for i, j in np.ndindex(d, d):
+        assert np.array_equal(got[i, j], _frame_oracle(ctx, x, i, j)), (i, j)
+
+
+def test_frame_operator_holds_one_row_block_in_float(monkeypatch):
+    # G is (D*K)^2 floats; X (N, D*K) is never converted whole
+    ctx = build_field(7, 2)
+    rng = np.random.default_rng(72)
+    x = _rand_elems(rng, ctx, (4000, 4))
+    frob = ctx.frob_power_matrix(1)
+    monkeypatch.setattr(kernels, "_MATMUL_BLOCK", 64 * 4 * 2)
+    want = kernels.frame_operator(x, frob, ctx.red, ctx.p)  # warms the fold cache
+    tracemalloc.start()
+    try:
+        got = kernels.frame_operator(x, frob, ctx.red, ctx.p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert np.array_equal(got[1, 2], _frame_oracle(ctx, x, 1, 2))
+    assert peak < x.nbytes // 2, peak
 
 
 @pytest.mark.parametrize("p,k", BENCH_FIELDS)

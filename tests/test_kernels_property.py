@@ -99,6 +99,29 @@ def test_gather_dot_property(field, seed, n, d, m):
 
 
 @PROPERTY
+@given(even_fields, seeds, sizes, st.integers(1, 6), st.integers(0, 12))
+def test_conjugated_dots_property(field, seed, n, d, m):
+    ctx = build_field(*field)
+    rng = np.random.default_rng(seed)
+    x = _rand_elems(rng, ctx, (n, d))
+    y = _rand_elems(rng, ctx, (n, d))
+    ki = rng.integers(0, n, size=m)
+    kj = rng.integers(0, n, size=m)
+    frob = ctx.frob_power_matrix(ctx.deg // 2)
+
+    def oracle(xs, ys):
+        acc = ctx.zero()
+        for xe, ye in zip(xs, ys):
+            acc = acc + frobenius(_as_elem(ctx, xe)) * _as_elem(ctx, ye)
+        return acc.coeffs
+
+    want = np.array([oracle(x[i], y[j]) for i, j in zip(ki, kj)]).reshape(m, ctx.deg)
+    assert np.array_equal(kernels.gather_dot(x, y, ki, kj, ctx.red, ctx.p, frob), want)
+    want = np.stack([oracle(x[r], y[r]) for r in range(n)])
+    assert np.array_equal(kernels.dot_batch(x, y, ctx.red, ctx.p, frob), want)
+
+
+@PROPERTY
 @given(fields, seeds, sizes, st.integers(0, 5), sizes)
 def test_matmul_property(field, seed, rows, mid, cols):
     ctx = build_field(*field)
