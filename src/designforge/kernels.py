@@ -258,7 +258,7 @@ def frame_operator(x, frob, red, p):
     # G = X^T X summed over row blocks of X = x.reshape(N, D*K), one block in float at a time
     g = np.zeros((d * k, d * k))
     blk = (_EXACT - 1) // (p - 1) ** 2  # rows whose sum stays below 2^53
-    step = max(1, min(_MATMUL_BLOCK // max(d * k, 1), blk - 1))
+    step = max(1, min(_MATMUL_BLOCK // max(d * k, 1), d * k, blk - 1))  # no larger than G
     summed = 0  # rows in g since its last reduction; a residue counts as one
     for lo in range(0, n, step):
         hi = min(lo + step, n)

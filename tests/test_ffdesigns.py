@@ -146,6 +146,16 @@ def test_gram_sample_check(f9):
     assert not gram_sample_check(f9, ctx.one(), ctx.one(), pairs=500, seed=1)
 
 
+def test_gram_sample_check_one_vector():
+    # no pairs to sample, so only the norm a is checked
+    ctx = build_field(7, 2)
+    x = np.zeros((1, 1, 2), dtype=np.int64)
+    x[0, 0, 0] = 2
+    ens = FFEnsemble(ctx, x)
+    assert gram_sample_check(ens, ctx.scalar(4), ctx.one(), pairs=500)
+    assert not gram_sample_check(ens, ctx.scalar(3), ctx.one(), pairs=500)
+
+
 def test_gerzon_report(f9):
     ctx = f9.ctx
     rep = check_gerzon(f9, ctx.zero(), ctx.one())
@@ -153,6 +163,36 @@ def test_gerzon_report(f9):
     assert (rep.n, rep.d) == (4, 2)
     assert rep.span_dim == rep.span_expected == 3
     assert rep.unique_dependency
+
+
+def test_gerzon_report_gabor_d13():
+    # n = d^2 = 169 with a = 0: the traceless Hermitian span, all-ones dependency
+    ens = gabor_ensemble(2, 6, 3)
+    a, b, _ = verify_etf(ens).params
+    assert a.is_zero()
+    rep = check_gerzon(ens, a, b)
+    assert rep.bound_holds and rep.span_checked
+    assert rep.span_dim == rep.span_expected == 168
+    assert rep.unique_dependency is True
+
+
+def test_gerzon_report_nonzero_norm():
+    # one vector in d = 1, a = N(2) = 4 != 0: the whole Hermitian space, no dependency
+    ctx = build_field(5, 2)
+    x = np.zeros((1, 1, 2), dtype=np.int64)
+    x[0, 0, 0] = 2
+    rep = check_gerzon(FFEnsemble(ctx, x), ctx.scalar(4), ctx.zero())
+    assert rep.bound_holds and rep.span_checked
+    assert rep.span_dim == rep.span_expected == 1
+    assert rep.unique_dependency is None
+
+
+def test_gerzon_report_over_budget(monkeypatch, f9):
+    monkeypatch.setattr(ffdesigns, "NAIVE_MULTIPLY_BUDGET", 1)
+    rep = check_gerzon(f9, f9.ctx.zero(), f9.ctx.one())
+    assert rep.bound_holds and not rep.span_checked
+    assert rep.span_dim is None and rep.unique_dependency is None
+    assert rep.note == "span check skipped: over elimination budget"
 
 
 # ---------------------------------------------------------------------------

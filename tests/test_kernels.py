@@ -235,6 +235,25 @@ def test_frame_operator_holds_one_row_block_in_float(monkeypatch):
     assert peak < x.nbytes // 2, peak
 
 
+def test_frame_operator_row_block_no_larger_than_g():
+    # default block size with N >> D*K: a float row block has at most D*K rows
+    ctx = build_field(7, 4)
+    rng = np.random.default_rng(84)
+    n, d, k = 10_000, 8, 4
+    x = _rand_elems(rng, ctx, (n, d))
+    frob = ctx.frob_power_matrix(2)
+    want = kernels.frame_operator(x, frob, ctx.red, ctx.p)  # warms the fold cache
+    tracemalloc.start()
+    try:
+        got = kernels.frame_operator(x, frob, ctx.red, ctx.p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert np.array_equal(got[3, 5], _frame_oracle(ctx, x, 3, 5))
+    assert peak < 8 * (d * k) ** 2 * 8, peak  # a few (D*K)^2 floats, far below N*D*K
+
+
 @pytest.mark.parametrize("p,k", BENCH_FIELDS)
 def test_kernels_accept_views(p, k):
     # transposed, reversed and broadcast operands are read like their copies
