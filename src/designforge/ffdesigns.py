@@ -255,8 +255,9 @@ def check_tight_frame(ens: FFEnsemble) -> Optional[FieldElement]:
     """Return c with sum_k x_k x_k* = c I, or None if the ensemble is not tight.
 
     When c = 0 tightness alone says nothing, so the spanning condition is
-    checked explicitly; for c != 0 it is implied.  In dimension 0 every c
-    fits, so none is reported.  The answer is computed once per ensemble.
+    checked explicitly, on a prefix of the vectors when one suffices; for
+    c != 0 it is implied.  In dimension 0 every c fits, so none is
+    reported.  The answer is computed once per ensemble.
     """
     return _memoized(ens, "tight", lambda: _tight_constant(ens))
 
@@ -348,6 +349,8 @@ def gram_sample_check(
     """Spot-check (a, b) on random pairs; complements the structural route."""
     rng = np.random.default_rng(seed)
     n = ens.n
+    if n == 0:
+        return True  # no vector to draw: both checks are vacuous
     if n >= 2:  # with no pairs the b check is vacuous
         ki = rng.integers(0, n, size=pairs)
         kj = rng.integers(0, n, size=pairs)
@@ -396,6 +399,9 @@ def check_gerzon(ens: FFEnsemble, a: FieldElement, b: FieldElement) -> GerzonRep
     report = GerzonReport(n=n, d=d, bound_holds=n <= d * d)
     if not report.bound_holds or n != d * d:
         return report
+    if n == 0:
+        report.note = "empty ensemble: no span to check"
+        return report
     if n * d**4 > NAIVE_MULTIPLY_BUDGET:
         report.note = "span check skipped: over elimination budget"
         return report
@@ -426,8 +432,11 @@ def _lifted_vectors(ens: FFEnsemble) -> np.ndarray:
 
 
 def _sym_span_ok(ens: FFEnsemble, lifted: np.ndarray) -> bool:
+    """Whether the lifted rows span Sym, of dimension target.  They lie in Sym
+    and are computed here, never read from a file, so their rank cannot
+    exceed target and `rank` may stop there."""
     target = ens.d * (ens.d + 1) // 2
-    return rank(ens.ctx, lifted, max_pivots=target + 1) == target
+    return rank(ens.ctx, lifted, max_pivots=target) == target
 
 
 def check_2design_naive(ens: FFEnsemble) -> Optional[FieldElement]:

@@ -298,6 +298,20 @@ def row_echelon(
 
 
 def rank(ctx: FieldCtx, a: np.ndarray, max_pivots: Optional[int] = None) -> int:
+    """Rank of an (R, C, K) array; with max_pivots = m, min(rank, m).
+
+    m is clamped to C.  If the first 2m rows alone reach m pivots, that is
+    exact, since a subset's rank bounds the whole set's from below;
+    otherwise all rows are reduced.  2m, not m: the first d vectors of a
+    Gabor frame are dependent when p divides |D|, as at d = 57.
+    """
+    if max_pivots is not None:
+        max_pivots = min(max_pivots, a.shape[1])
+        head = a[: 2 * max_pivots]
+        if len(head) < len(a):
+            _, pivots = row_echelon(ctx, head, max_pivots=max_pivots)
+            if len(pivots) == max_pivots:
+                return max_pivots
     _, pivots = row_echelon(ctx, a, max_pivots=max_pivots)
     return len(pivots)
 

@@ -7,7 +7,7 @@ import pytest
 
 from designforge.ffcore import NotQuadraticExtension, OrderDoesNotDivide, build_field, frobenius
 from designforge.fflinalg import BudgetExceeded, EvenCharacteristic, FFMatrix, FFVector
-from designforge import ffdesigns
+from designforge import ffdesigns, fflinalg
 from designforge.ffdesigns import (
     DifferenceSet,
     FFEnsemble,
@@ -156,6 +156,13 @@ def test_gram_sample_check_one_vector():
     assert not gram_sample_check(ens, ctx.scalar(3), ctx.one(), pairs=500)
 
 
+def test_gram_sample_check_empty_ensemble():
+    # no vector to draw: the pair and norm checks are both vacuous
+    ctx = build_field(3, 2)
+    ens = FFEnsemble(ctx, np.zeros((0, 2, 2), dtype=np.int64))
+    assert gram_sample_check(ens, ctx.zero(), ctx.one(), pairs=500)
+
+
 def test_gerzon_report(f9):
     ctx = f9.ctx
     rep = check_gerzon(f9, ctx.zero(), ctx.one())
@@ -185,6 +192,17 @@ def test_gerzon_report_nonzero_norm():
     assert rep.bound_holds and rep.span_checked
     assert rep.span_dim == rep.span_expected == 1
     assert rep.unique_dependency is None
+
+
+def test_gerzon_report_empty_ensemble():
+    # d = 0 and n = 0: the bound holds and there is no span to check
+    ctx = build_field(3, 2)
+    ens = FFEnsemble(ctx, np.zeros((0, 0, 2), dtype=np.int64))
+    rep = check_gerzon(ens, ctx.zero(), ctx.one())
+    assert rep.bound_holds and not rep.span_checked
+    assert rep.span_dim is None and rep.span_expected is None
+    assert rep.unique_dependency is None
+    assert rep.note == "empty ensemble: no span to check"
 
 
 def test_gerzon_report_over_budget(monkeypatch, f9):
@@ -530,6 +548,39 @@ def test_verified_tight_frame_is_not_row_reduced_again(monkeypatch):
     assert [v.to_int() for v in res.params] == [0, 1, 0]
     assert check_vanishing_bound(plain)
     assert len(ranks) == 1  # the spanning check of c = 0 tightness, and only that
+
+
+def test_zero_tight_span_needs_more_than_the_prefix():
+    # 2d + 1 zero vectors in front: the first 2d rows have rank 0, so the
+    # span check falls back to all rows and still finds the frame spanning
+    ens = gabor_ensemble(2, 6, 3)
+    zeros = np.zeros((2 * ens.d + 1, ens.d, ens.ctx.deg), dtype=np.int64)
+    padded = FFEnsemble(ens.ctx, np.concatenate([zeros, ens.data]))
+    c = check_tight_frame(padded)
+    assert c is not None and c.is_zero()
+
+
+def test_zero_tight_frame_that_does_not_span_is_rejected():
+    # one more coordinate, zero in every vector: still sum_k x_k x_k* = 0,
+    # but the vectors lie in a hyperplane
+    ens = gabor_ensemble(2, 6, 3)
+    data = np.concatenate([ens.data, np.zeros((ens.n, 1, ens.ctx.deg), dtype=np.int64)], axis=1)
+    assert check_tight_frame(FFEnsemble(ens.ctx, data)) is None
+
+
+def test_zero_tight_span_is_proved_on_a_prefix(monkeypatch):
+    ens = gabor_ensemble(2, 6, 3)
+    plain = FFEnsemble(ens.ctx, ens.data)  # c = 0, no metadata
+    rows = []
+    real = fflinalg.row_echelon
+
+    def counting(ctx, a, max_pivots=None):
+        rows.append(len(a))
+        return real(ctx, a, max_pivots=max_pivots)
+
+    monkeypatch.setattr(fflinalg, "row_echelon", counting)
+    assert check_tight_frame(plain).is_zero()
+    assert rows and max(rows) <= 2 * plain.d < plain.n
 
 
 def test_etf_verdict_computed_once_per_ensemble(monkeypatch):

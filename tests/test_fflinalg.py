@@ -204,3 +204,22 @@ def test_row_echelon_rank_nullspace():
                 assert FieldElement(ctx, col[ri]) == ctx.one()
                 assert not np.any(np.delete(col, ri, axis=0))
 
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rank_with_max_pivots_is_min_of_rank_and_m(p):
+    # rank(a, max_pivots=m) == min(rank(a), m) whether the 2m-row prefix
+    # proves it or the fallback over all rows is needed: prefixes of zero or
+    # repeated rows force the fallback, and m >= C or m = 0 are clamped
+    ctx = build_field(p, 2)
+    rng = np.random.default_rng(p)
+    for _ in range(40):
+        r, c = int(rng.integers(0, 14)), int(rng.integers(1, 6))
+        a = rng.integers(0, p, size=(r, c, 2)).astype(np.int64)
+        for m in range(c + 3):
+            zero_head = a.copy()
+            zero_head[: 2 * m] = 0
+            repeated_head = a.copy()
+            if r:
+                repeated_head[: 2 * m] = a[r - 1]
+            for arr in (a, zero_head, repeated_head):
+                assert rank(ctx, arr, max_pivots=m) == min(rank(ctx, arr), m)
