@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .ffcore import factorize, is_prime
 
 DEFAULT_TOL = 1e-9
 CERT_TOL = 1e-12
+# relative antisymmetric part above which kraus_to_design rejects a term
+ASYM_TOL = 1e-8
 
 
 class CDesignError(Exception):
@@ -144,106 +146,64 @@ def check_weighted_2design(ens: CEnsemble) -> float:
 
 
 class Channel:
-    """A linear map on d x d matrices, given by Kraus operators or a callable."""
+    """A linear map from d_in x d_in to d_out x d_out matrices, held as its
+    Choi matrix C = sum_ij e_i e_j* (x) Phi(e_i e_j*), so block (i, j) is the
+    image of e_i e_j*.  Give exactly one of a Kraus list or the Choi matrix.
+    """
 
     def __init__(
         self,
         d_in: int,
         d_out: int,
-        kraus: Optional[List[np.ndarray]] = None,
-        apply_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        kraus: Optional[Sequence[np.ndarray]] = None,
+        choi: Optional[np.ndarray] = None,
     ):
-        if kraus is None and apply_fn is None:
-            raise ValueError("need kraus operators or an apply function")
+        if (kraus is None) == (choi is None):
+            raise ValueError("need exactly one of kraus operators or a Choi matrix")
+        if kraus is not None:
+            # C = sum_k vec(R_k) vec(R_k)*, vec stacking columns
+            vecs = np.stack(kraus).astype(np.complex128).transpose(0, 2, 1).reshape(len(kraus), -1)
+            choi = vecs.T @ vecs.conj()
+        choi = np.asarray(choi, dtype=np.complex128)
+        if choi.shape != (d_in * d_out, d_in * d_out):
+            raise ValueError(f"Choi matrix of shape {choi.shape} for d_in={d_in}, d_out={d_out}")
         self.d_in = d_in
         self.d_out = d_out
-        self.kraus = [np.asarray(r, dtype=np.complex128) for r in kraus] if kraus else None
-        self._apply_fn = apply_fn
-        self._choi: Optional[np.ndarray] = None
+        self._choi = choi
+
+    def _blocks(self) -> np.ndarray:
+        """C as (d_in, d_out, d_in, d_out): [i, a, j, b] = Phi(e_i e_j*)[a, b]."""
+        return self._choi.reshape(self.d_in, self.d_out, self.d_in, self.d_out)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.complex128)
-        if self.kraus is not None:
-            out = np.zeros((self.d_out, self.d_out), dtype=np.complex128)
-            for r in self.kraus:
-                out += r @ x @ r.conj().T
-            return out
-        return self._apply_fn(x)
+        return np.einsum("ij,iajb->ab", np.asarray(x, dtype=np.complex128), self._blocks())
 
     def choi(self) -> np.ndarray:
-        """C = sum_ij e_i e_j* (x) Phi(e_i e_j*), computed once and cached.
-
-        For Kraus channels C = sum_k vec(R_k) vec(R_k)*, vec stacking columns.
-        """
-        if self._choi is not None:
-            return self._choi
-        if self.kraus is not None:
-            vecs = np.stack(self.kraus).transpose(0, 2, 1).reshape(len(self.kraus), -1)
-            self._choi = vecs.T @ vecs.conj()
-        else:
-            d, m = self.d_in, self.d_out
-            c = np.zeros((d * m, d * m), dtype=np.complex128)
-            basis = np.zeros((d, d), dtype=np.complex128)
-            for i in range(d):
-                for j in range(d):
-                    basis[i, j] = 1.0
-                    c[i * m : (i + 1) * m, j * m : (j + 1) * m] = self.apply(basis)
-                    basis[i, j] = 0.0
-            self._choi = c
         return self._choi
 
     def completeness_residual(self) -> float:
-        """||sum_k R_k* R_k - I|| for Kraus channels."""
-        if self.kraus is None:
-            raise ValueError("no Kraus representation")
-        s = sum(r.conj().T @ r for r in self.kraus)
-        return float(np.max(np.abs(s - np.eye(self.d_in))))
+        """max |tr_out C - I|; for Kraus channels tr_out C = (sum_k R_k* R_k)^T."""
+        tr_out = np.einsum("iaja->ij", self._blocks())
+        return float(np.max(np.abs(tr_out - np.eye(self.d_in))))
 
 
 def depolarizing_channel(d: int) -> Channel:
-    """X -> (X + tr X . I) / (d + 1), with its standard Kraus family."""
+    """X -> (X + tr X . I) / (d + 1), whose Choi matrix is (I + w w*)/(d + 1)
+    with w = sum_i e_i (x) e_i."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    s = 1.0 / math.sqrt(d + 1)
-    kraus = [s * np.eye(d, dtype=np.complex128)]
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=np.complex128)
-            e[i, j] = s
-            kraus.append(e)
-    return Channel(d, d, kraus=kraus)
-
-
-def _rank1_factor(r: np.ndarray, tol: float = 1e-10) -> Tuple[np.ndarray, np.ndarray]:
-    """Factor R = a b^T; raises NotRankOne when sigma_2/sigma_1 exceeds tol."""
-    u, s, vh = np.linalg.svd(np.asarray(r, dtype=np.complex128))
-    if s[0] == 0.0:
-        raise NotRankOne("zero Kraus operator")
-    if len(s) > 1 and s[1] / s[0] > tol:
-        raise NotRankOne(f"second singular value ratio {s[1] / s[0]:.2e}")
-    root = math.sqrt(s[0])
-    return root * u[:, 0], root * vh[0]
+    w = np.eye(d).reshape(-1)
+    return Channel(d, d, choi=(np.eye(d * d) + np.outer(w, w)) / (d + 1))
 
 
 def transpose_compose(ch: Channel) -> Channel:
-    """X -> Phi(X)^T.  Rank-one Kraus lists a_k b_k^T transport to
-    conj(a_k) b_k^T; otherwise only the action is carried."""
-    new_kraus = None
-    if ch.kraus is not None:
-        try:
-            new_kraus = []
-            for r in ch.kraus:
-                a, b = _rank1_factor(r)
-                new_kraus.append(np.outer(a.conj(), b))
-        except NotRankOne:
-            new_kraus = None
-    return Channel(
-        ch.d_in, ch.d_out, kraus=new_kraus, apply_fn=lambda x, _c=ch: _c.apply(x).T
-    )
+    """X -> Phi(X)^T: each Choi block Phi(e_i e_j*) is transposed."""
+    n = ch.d_in * ch.d_out
+    return Channel(ch.d_in, ch.d_out, choi=ch._blocks().transpose(0, 3, 2, 1).reshape(n, n))
 
 
 def choi_from_kraus(kraus: Sequence[np.ndarray], d_in: int) -> np.ndarray:
-    return Channel(d_in, kraus[0].shape[0], kraus=list(kraus)).choi()
+    return Channel(d_in, kraus[0].shape[0], kraus=kraus).choi()
 
 
 def kraus_from_choi(
@@ -251,18 +211,14 @@ def kraus_from_choi(
 ) -> List[np.ndarray]:
     """Kraus list a_k b_k^T from factor pairs that must reproduce the Choi.
 
-    The pairs (a_k, b_k) are accepted iff sum_k (b_k (x) a_k)(b_k (x) a_k)*
-    equals the channel's Choi matrix within tol.
+    The pairs (a_k, b_k) are accepted iff the Kraus list a_k b_k^T has the
+    channel's Choi matrix within tol; vec(a b^T) = b (x) a.
     """
-    c = ch.choi()
-    acc = np.zeros_like(c)
-    for a, b in rank1_terms:
-        t = np.kron(np.asarray(b, dtype=np.complex128), np.asarray(a, dtype=np.complex128))
-        acc += np.outer(t, t.conj())
-    resid = float(np.max(np.abs(acc - c)))
+    kraus = [np.outer(a, b) for a, b in rank1_terms]
+    resid = float(np.max(np.abs(choi_from_kraus(kraus, ch.d_in) - ch.choi())))
     if resid > tol:
         raise ChoiMismatch(f"terms miss the Choi matrix by {resid:.2e}")
-    return [np.outer(a, b) for a, b in rank1_terms]
+    return kraus
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +277,26 @@ def design_to_kraus(
     return kraus, cert
 
 
-def kraus_to_design(
-    kraus: Sequence[np.ndarray],
-    tol: float = DEFAULT_TOL,
-    asym_tol: float = 1e-8,
-    from_transposed_channel: bool = False,
-) -> CEnsemble:
+def _rank1_factor(r: np.ndarray, tol: float = 1e-10) -> Tuple[np.ndarray, np.ndarray]:
+    """Factor R = a b^T; raises NotRankOne when sigma_2/sigma_1 exceeds tol."""
+    u, s, vh = np.linalg.svd(np.asarray(r, dtype=np.complex128))
+    if s[0] == 0.0:
+        raise NotRankOne("zero Kraus operator")
+    if len(s) > 1 and s[1] / s[0] > tol:
+        raise NotRankOne(f"second singular value ratio {s[1] / s[0]:.2e}")
+    root = math.sqrt(s[0])
+    return root * u[:, 0], root * vh[0]
+
+
+def kraus_to_design(kraus: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> CEnsemble:
     """Recover the weighted design hiding in a rank-one Kraus decomposition.
 
-    Accepts Kraus operators for the depolarizing channel (the output format
-    of design_to_kraus); pass from_transposed_channel=True when the list
-    already describes the transpose-composed channel.  Each transported
-    factor pair b (x) a must be symmetric as a d x d matrix — that is the
-    theorem's forced structure sqrt(d w) x (x) x — and the terms must
-    reassemble the transposed channel's Choi matrix.
+    Accepts Kraus operators a b^T for the depolarizing channel (the output
+    format of design_to_kraus).  Each transported factor pair b (x) conj(a),
+    a term of the transpose-composed channel, must be symmetric as a d x d
+    matrix within ASYM_TOL — that is the theorem's forced structure
+    sqrt(d w) x (x) x — and the terms must reassemble the transposed
+    channel's Choi matrix.
     """
     if not kraus:
         raise ValueError("empty Kraus list")
@@ -342,12 +304,10 @@ def kraus_to_design(
     terms = []
     for r in kraus:
         a, b = _rank1_factor(r)
-        if not from_transposed_channel:
-            a = a.conj()
-        m = np.outer(b, a)  # b (x) a reshaped to d x d
+        m = np.outer(b, a.conj())  # b (x) conj(a) reshaped to d x d
         scale = np.linalg.norm(m)
         asym = np.linalg.norm(m - m.T) / (2.0 * scale)
-        if asym > asym_tol:
+        if asym > ASYM_TOL:
             raise AsymmetricTerm(f"antisymmetric component {asym:.2e}")
         terms.append(0.5 * (m + m.T))
     tdz = (2.0 / (d + 1)) * symmetric_projector(d)
@@ -580,10 +540,14 @@ class EbrBound:
     constructive: bool
 
 
-def ebr_bound_table(d: int, k_max: int = 8) -> List[EbrBound]:
+# largest k tried by the k d^2 + 2d rule of ebr_bound_table
+EBR_K_MAX = 8
+
+
+def ebr_bound_table(d: int) -> List[EbrBound]:
     """Upper bounds on ebr for dimension d, smallest first.
 
-    Recorded rules: k d^2 + 2d for the least k <= k_max with kd+1 a prime
+    Recorded rules: k d^2 + 2d for the least k <= EBR_K_MAX with kd+1 a prime
     power; d^2 + (p+1)d when d+1 = p^s; d^2 + 1 when d-1 is a prime power;
     d^2 + d - 1 and d^2 + d when d is a prime power.  Constructive entries
     (witness buildable here) are the SIC dimensions {2, 3} at d^2 and the
@@ -592,7 +556,7 @@ def ebr_bound_table(d: int, k_max: int = 8) -> List[EbrBound]:
     if d < 1:
         raise ValueError("d must be >= 1")
     out: List[EbrBound] = []
-    for k in range(1, k_max + 1):
+    for k in range(1, EBR_K_MAX + 1):
         if _is_prime_power(k * d + 1):
             out.append(EbrBound(d, k * d * d + 2 * d, f"k d^2 + 2d (k = {k})", False))
             break

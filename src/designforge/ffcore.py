@@ -465,13 +465,19 @@ class FieldCtx:
             self._frob_pow_cache[m] = mat
         return self._frob_pow_cache[m]
 
-    @property
-    def subfield_order(self) -> int:
-        """q with ctx = F_{q^2}; requires even extension degree."""
+    def conj_matrix(self) -> np.ndarray:
+        """Matrix of the conjugation e -> e^q on ctx = F_{q^2}; raises
+        NotQuadraticExtension when the extension degree is odd."""
         if self.deg % 2 != 0:
             raise NotQuadraticExtension(
                 f"F_{self.p}^{self.deg} is not a quadratic extension"
             )
+        return self.frob_power_matrix(self.deg // 2)
+
+    @property
+    def subfield_order(self) -> int:
+        """q with ctx = F_{q^2}; requires even extension degree."""
+        self.conj_matrix()
         return self.p ** (self.deg // 2)
 
     def order_factors(self) -> dict:
@@ -533,12 +539,7 @@ def build_field(p: int, k: int) -> FieldCtx:
 def frobenius(e: FieldElement) -> FieldElement:
     """The q-power map on F_{q^2} (conjugation); requires even degree."""
     ctx = e.ctx
-    if ctx.deg % 2 != 0:
-        raise NotQuadraticExtension(
-            f"frobenius conjugation needs F_{{q^2}}; degree {ctx.deg} is odd"
-        )
-    mat = ctx.frob_power_matrix(ctx.deg // 2)
-    return FieldElement(ctx, (mat @ e.coeffs) % ctx.p)
+    return FieldElement(ctx, (ctx.conj_matrix() @ e.coeffs) % ctx.p)
 
 
 def fixed_by_frobenius(e: FieldElement) -> bool:

@@ -47,7 +47,6 @@ from .fflinalg import (
     EvenCharacteristic,
     FFMatrix,
     FFVector,
-    _frob_matrix,
     frobenius_array,
     rank,
     nullspace,
@@ -236,7 +235,7 @@ def _norm_values(ens: FFEnsemble, ips: np.ndarray) -> np.ndarray:
 def _pair_inner(ens: FFEnsemble, ki: np.ndarray, kj: np.ndarray) -> np.ndarray:
     """<x_{ki[m]}, x_{kj[m]}> for index arrays, conjugating the first slot."""
     ctx = ens.ctx
-    return kernels.gather_dot(ens.data, ens.data, ki, kj, ctx.red, ctx.p, _frob_matrix(ctx))
+    return kernels.gather_dot(ens.data, ens.data, ki, kj, ctx.red, ctx.p, ctx.conj_matrix())
 
 
 def _rank_one_matrices(ens: FFEnsemble) -> np.ndarray:
@@ -266,7 +265,7 @@ def _tight_constant(ens: FFEnsemble) -> Optional[FieldElement]:
     ctx, d = ens.ctx, ens.d
     if d == 0:
         return None
-    s = kernels.frame_operator(ens.data, _frob_matrix(ctx), ctx.red, ctx.p)
+    s = kernels.frame_operator(ens.data, ctx.conj_matrix(), ctx.red, ctx.p)
     c = FieldElement(ctx, s[0, 0])
     expected = np.zeros_like(s)
     expected[np.arange(d), np.arange(d)] = c.coeffs
@@ -406,12 +405,12 @@ def check_gerzon(ens: FFEnsemble, a: FieldElement, b: FieldElement) -> GerzonRep
         report.note = "span check skipped: over elimination budget"
         return report
     ctx = ens.ctx
-    xx = _rank_one_matrices(ens)
+    # one elimination: rank(xx) = n minus the number of dependencies among the rows
+    ns = nullspace(ctx, _rank_one_matrices(ens).transpose(1, 0, 2))
     report.span_checked = True
-    report.span_dim = rank(ctx, xx)
+    report.span_dim = n - ns.shape[0]
     if a.is_zero():
         report.span_expected = d * d - 1
-        ns = nullspace(ctx, xx.transpose(1, 0, 2))
         # nullspace writes 1 at the free column, so a multiple of all-ones is all-ones
         report.unique_dependency = ns.shape[0] == 1 and bool(np.all(ns[0] == ctx.one().coeffs))
     else:

@@ -34,20 +34,10 @@ class BudgetExceeded(LinalgError):
 SYM_PROJECTOR_MAX_DIM = 16
 
 
-def _frob_matrix(ctx: FieldCtx) -> np.ndarray:
-    if ctx.deg % 2 != 0:
-        from .ffcore import NotQuadraticExtension
-
-        raise NotQuadraticExtension(
-            f"conjugation needs F_{{q^2}}; degree {ctx.deg} is odd"
-        )
-    return ctx.frob_power_matrix(ctx.deg // 2)
-
-
 def frobenius_array(ctx: FieldCtx, arr: np.ndarray) -> np.ndarray:
     """Apply the q-power map entrywise to an (..., K) coefficient array."""
     kernels._check_exact(ctx.deg, ctx.p, "frobenius_array")
-    mat = _frob_matrix(ctx).astype(np.float64)
+    mat = ctx.conj_matrix().astype(np.float64)
     out = (arr.reshape(-1, ctx.deg).astype(np.float64) @ mat.T).astype(np.int64)
     out %= ctx.p
     return out.reshape(arr.shape)
@@ -171,7 +161,7 @@ def herm_inner(x: FFVector, y: FFVector) -> FieldElement:
     if len(x) != len(y):
         raise ValueError("length mismatch")
     ctx = x.ctx
-    out = kernels.dot_batch(x.data[None], y.data[None], ctx.red, ctx.p, _frob_matrix(ctx))[0]
+    out = kernels.dot_batch(x.data[None], y.data[None], ctx.red, ctx.p, ctx.conj_matrix())[0]
     return FieldElement(ctx, out)
 
 

@@ -11,7 +11,8 @@ The headline construction: for unit x in H^d, the real 3-space
 S(x) = {x z x* : Re z = 0} has orthogonal basis (x i x*, x j x*, x k x*),
 and an equiangular tight 2-design {x_k} turns {S(x_k)} into an
 equi-isoclinic tight fusion frame of n = 2d^2 - d subspaces inside the
-d(2d+1)-dimensional space of Hermitian quaternion matrices.
+d(2d+1)-dimensional space of anti-Hermitian quaternion matrices, since
+(x z x*)* = x z* x* = -x z x* when Re z = 0.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-ALGEBRA_TOL = 1e-12
 DEFAULT_TOL = 1e-9
+# potential gap at which optimize_design stops early
+GAP_TOL = 1e-14
 
 Q_ONE = np.array([1.0, 0.0, 0.0, 0.0])
 Q_I = np.array([0.0, 1.0, 0.0, 0.0])
@@ -488,7 +490,6 @@ def optimize_design(
     n: int,
     seed: int = 0,
     iters: int = 2000,
-    gap_tol: float = 1e-14,
 ) -> OptimizeResult:
     """Projected gradient descent on the product of unit spheres in H^d.
 
@@ -516,7 +517,7 @@ def optimize_design(
         rad = np.sum(g * x, axis=(1, 2), keepdims=True)
         r = g - rad * x
         rnorm2 = float(np.sum(r * r))
-        if rnorm2 < 1e-30 or f - bound <= gap_tol:
+        if rnorm2 < 1e-30 or f - bound <= GAP_TOL:
             break
         if prev_x is not None:
             s = (x - prev_x).ravel()
@@ -546,7 +547,7 @@ def optimize_design(
         potential=f,
         bound=bound,
         gap=gap,
-        converged=gap <= max(gap_tol, 1e-8),
+        converged=gap <= 1e-8,
         trace=trace,
         iterations=it,
         seed=seed,

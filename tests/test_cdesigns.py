@@ -183,16 +183,18 @@ def test_transpose_compose_action_and_transport():
     rng = np.random.default_rng(9)
     kraus, _ = design_to_kraus(sic_catalog(2))
     ch = Channel(2, 2, kraus=kraus)
-    tch = transpose_compose(ch)
-    assert tch.kraus is not None  # rank-one terms transport
-    for _ in range(5):
-        x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        assert np.max(np.abs(tch.apply(x) - ch.apply(x).T)) < 1e-12
-    # the depolarizing family contains the (non rank-one) identity: no Kraus
-    tdep = transpose_compose(depolarizing_channel(2))
-    assert tdep.kraus is None
-    x = rng.normal(size=(2, 2))
-    assert np.max(np.abs(tdep.apply(x) - depolarizing_channel(2).apply(x).T)) < 1e-12
+    # the depolarizing channel and a random channel whose Kraus operators
+    # have full rank (d_in = 2, d_out = 3) transport as well as rank-one ones
+    wide = [rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)) for _ in range(3)]
+    assert min(np.linalg.svd(r, compute_uv=False)[-1] for r in wide) > 1e-3
+    for c in (ch, depolarizing_channel(2), Channel(2, 3, kraus=wide)):
+        tch = transpose_compose(c)
+        assert (tch.d_in, tch.d_out) == (c.d_in, c.d_out)
+        for _ in range(5):
+            x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            assert np.max(np.abs(tch.apply(x) - c.apply(x).T)) < 1e-12
+        # transposing twice is the identity on the Choi matrix
+        assert np.array_equal(transpose_compose(tch).choi(), c.choi())
 
 
 def test_choi_from_apply_matches_choi_from_kraus():
@@ -200,8 +202,11 @@ def test_choi_from_apply_matches_choi_from_kraus():
     for d in (2, 3):
         kraus, _ = design_to_kraus(mub_ensemble(d))
         by_kraus = choi_from_kraus(kraus, d)
-        ch = Channel(d, d, apply_fn=Channel(d, d, kraus=kraus).apply)
-        assert np.max(np.abs(ch.choi() - by_kraus)) < 1e-12
+        ch = Channel(d, d, choi=by_kraus)
+        assert np.array_equal(ch.choi(), by_kraus)
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        by_sum = sum(r @ x @ r.conj().T for r in kraus)
+        assert np.max(np.abs(ch.apply(x) - by_sum)) < 1e-12
     # probe identity (w (x) x)^T C (y (x) z) = x^T Phi(w y^T) z on a random channel
     d = 4
     kraus = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3)]
@@ -211,6 +216,27 @@ def test_choi_from_apply_matches_choi_from_kraus():
         w, x, y, z = (rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(4))
         lhs = np.kron(w, x) @ c @ np.kron(y, z)
         assert abs(lhs - x @ ch.apply(np.outer(w, y)) @ z) < 1e-10
+    with pytest.raises(ValueError):
+        Channel(d, d)
+    with pytest.raises(ValueError):
+        Channel(d, d, kraus=kraus, choi=c)
+    with pytest.raises(ValueError):
+        Channel(d, d + 1, choi=c)
+
+
+def test_completeness_residual_of_a_non_trace_preserving_channel():
+    # tr_out C = (sum_k R_k* R_k)^T, so the residual reads that sum's distance from I
+    rng = np.random.default_rng(12)
+    kraus = [rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)) for _ in range(2)]
+    s = sum(r.conj().T @ r for r in kraus)
+    want = float(np.max(np.abs(s - np.eye(2))))
+    assert want > 0.1
+    assert abs(Channel(2, 3, kraus=kraus).completeness_residual() - want) < 1e-12
+    # the same value from a Choi matrix given directly, and a scaled channel
+    c = choi_from_kraus(kraus, 2)
+    assert abs(Channel(2, 3, choi=c).completeness_residual() - want) < 1e-12
+    half = Channel(3, 3, choi=0.5 * depolarizing_channel(3).choi())
+    assert abs(half.completeness_residual() - 0.5) < 1e-12
 
 
 def test_kraus_from_choi_round_trip():
@@ -281,17 +307,6 @@ def test_round_trip_recovers_design(maker):
     assert overlap > 1 - 1e-10
     assert wdev < 1e-10
     assert check_weighted_2design(back) < 1e-9
-
-
-def test_kraus_to_design_transposed_flag():
-    ens = sic_catalog(2)
-    # terms of the transpose-composed channel are already symmetric x x^T
-    kraus_t = [
-        math.sqrt(2 * w) * np.outer(x, x) for x, w in zip(ens.vectors, ens.weights)
-    ]
-    back = kraus_to_design(kraus_t, from_transposed_channel=True)
-    overlap, wdev = _best_match_overlaps(ens, back)
-    assert overlap > 1 - 1e-10 and wdev < 1e-10
 
 
 def test_kraus_to_design_error_paths():

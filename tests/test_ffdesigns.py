@@ -172,6 +172,21 @@ def test_gerzon_report(f9):
     assert rep.unique_dependency
 
 
+def test_gerzon_report_eliminates_once(monkeypatch, f9):
+    # the rank and the all-ones dependency both come from one row reduction
+    calls = []
+    real = fflinalg.row_echelon
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fflinalg, "row_echelon", counting)
+    rep = check_gerzon(f9, f9.ctx.zero(), f9.ctx.one())
+    assert rep.span_dim == 3 and rep.unique_dependency
+    assert calls == [(4, 4, 2)]
+
+
 def test_gerzon_report_gabor_d13():
     # n = d^2 = 169 with a = 0: the traceless Hermitian span, all-ones dependency
     ens = gabor_ensemble(2, 6, 3)
