@@ -149,6 +149,8 @@ class Channel:
     """A linear map from d_in x d_in to d_out x d_out matrices, held as its
     Choi matrix C = sum_ij e_i e_j* (x) Phi(e_i e_j*), so block (i, j) is the
     image of e_i e_j*.  Give exactly one of a Kraus list or the Choi matrix.
+    The channel keeps a read-only copy of C, so neither the caller's array
+    nor the one `choi()` returns can change it.
     """
 
     def __init__(
@@ -164,7 +166,8 @@ class Channel:
             # C = sum_k vec(R_k) vec(R_k)*, vec stacking columns
             vecs = np.stack(kraus).astype(np.complex128).transpose(0, 2, 1).reshape(len(kraus), -1)
             choi = vecs.T @ vecs.conj()
-        choi = np.asarray(choi, dtype=np.complex128)
+        choi = np.array(choi, dtype=np.complex128)
+        choi.flags.writeable = False
         if choi.shape != (d_in * d_out, d_in * d_out):
             raise ValueError(f"Choi matrix of shape {choi.shape} for d_in={d_in}, d_out={d_out}")
         self.d_in = d_in

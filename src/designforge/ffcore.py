@@ -297,8 +297,10 @@ class FieldElement:
 
     def __mul__(self, other):
         self._check(other)
-        prod = _poly_mod(np.convolve(self.coeffs, other.coeffs), self.ctx.modulus, self.ctx.p)
-        return FieldElement(self.ctx, prod)
+        ctx = self.ctx
+        # x^(K+j) mod f is red[j]; each sum is at most (K-1)(p-1)^2 + p, inside int64
+        conv = np.convolve(self.coeffs, other.coeffs) % ctx.p
+        return FieldElement(ctx, conv[: ctx.deg] + conv[ctx.deg :] @ ctx.red)
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
@@ -473,12 +475,6 @@ class FieldCtx:
                 f"F_{self.p}^{self.deg} is not a quadratic extension"
             )
         return self.frob_power_matrix(self.deg // 2)
-
-    @property
-    def subfield_order(self) -> int:
-        """q with ctx = F_{q^2}; requires even extension degree."""
-        self.conj_matrix()
-        return self.p ** (self.deg // 2)
 
     def order_factors(self) -> dict:
         if self._order_factors is None:

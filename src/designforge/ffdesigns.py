@@ -168,8 +168,12 @@ def singer_difference_set(r: int) -> DifferenceSet:
 class FFEnsemble:
     """A finite list of vectors in F_{q^2}^d with optional construction data.
 
-    data has shape (n, d, K) and is read-only; metadata (when present)
-    records how the ensemble was built, e.g. Gabor parameters
+    data has shape (n, d, K) and is read-only, and the ensemble owns it:
+    the constructor stores a reduced copy of what the caller passes, so a
+    later write to the caller's array changes nothing here.  Only
+    `gabor_ensemble` and the canonical file reader hand over an array they
+    have just built, through `_adopt`, which skips that copy.  metadata
+    (when present) records how the ensemble was built, e.g. Gabor parameters
     {p, k, r, D, alpha, omega}.  It is stored as a read-only deep copy:
     mappings become MappingProxyType, and lists and numpy arrays become tuples.
     """
@@ -178,11 +182,27 @@ class FFEnsemble:
 
     def __init__(self, ctx: FieldCtx, data, metadata: Optional[Mapping] = None):
         arr = np.asarray(data, dtype=np.int64) % ctx.p
+        self._own(ctx, np.ascontiguousarray(arr), metadata)
+
+    @classmethod
+    def _adopt(cls, ctx: FieldCtx, arr: np.ndarray, metadata=None) -> "FFEnsemble":
+        """An ensemble that takes arr itself as its data, with no reduction or copy.
+
+        arr must be a C-contiguous int64 array with entries in [0, p) that no
+        caller holds or writes afterwards; it is made read-only here.
+        """
+        if arr.dtype != np.int64 or not arr.flags.c_contiguous:
+            raise ValueError("only a C-contiguous int64 array can be adopted")
+        ens = cls.__new__(cls)
+        ens._own(ctx, arr, metadata)
+        return ens
+
+    def _own(self, ctx: FieldCtx, arr: np.ndarray, metadata) -> None:
         if arr.ndim != 3 or arr.shape[2] != ctx.deg:
             raise ValueError(f"expected (n, d, {ctx.deg}) array, got {arr.shape}")
+        arr.flags.writeable = False
         self.ctx = ctx
-        self.data = np.ascontiguousarray(arr)
-        self.data.flags.writeable = False
+        self.data = arr
         self.metadata = _read_only(metadata or {})
         self._memo = {}
 
@@ -610,9 +630,9 @@ def gabor_ensemble(p: int, k: int, r: int) -> FFEnsemble:
     has order d in F_{q^2}.
     """
     ctx, phases, support, meta = _gabor_parts(p, k, r)
-    vecs = phases[:, None, :, :] * support[None, :, :, None]
+    vecs = phases[:, None, :, :] * support[None, :, :, None]  # fresh, entries in [0, p)
     d = support.shape[0]
-    return FFEnsemble(ctx, vecs.reshape(d * d, d, ctx.deg), meta)
+    return FFEnsemble._adopt(ctx, vecs.reshape(d * d, d, ctx.deg), meta)
 
 
 def _powers(z: FieldElement, m: int) -> np.ndarray:

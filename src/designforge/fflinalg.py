@@ -150,7 +150,7 @@ class FFMatrix:
 
 
 # ---------------------------------------------------------------------------
-# products, conjugation, tensors
+# products and conjugation
 # ---------------------------------------------------------------------------
 
 
@@ -180,44 +180,12 @@ def outer(x: FFVector, y: Optional[FFVector] = None) -> FFMatrix:
     return FFMatrix(ctx, kernels.mul_batch(x.data[:, None], yf, ctx.red, ctx.p))
 
 
-def tensor_vec(x: FFVector, y: FFVector) -> FFVector:
-    """Kronecker product of vectors in row-major convention."""
-    if x.ctx is not y.ctx:
-        raise ContextMismatch("vectors belong to different field contexts")
-    ctx = x.ctx
-    out = kernels.mul_batch(x.data[:, None], y.data, ctx.red, ctx.p)
-    return FFVector(ctx, out.reshape(-1, ctx.deg))
-
-
-def tensor_mat(a: FFMatrix, b: FFMatrix) -> FFMatrix:
-    """Kronecker product of matrices (row-major block convention)."""
-    if a.ctx is not b.ctx:
-        raise ContextMismatch("matrices belong to different field contexts")
-    ctx = a.ctx
-    (r1, c1), (r2, c2) = a.shape, b.shape
-    # prod[i1, i2, j1, j2] = a[i1, j1] * b[i2, j2]
-    prod = kernels.mul_batch(a.data[:, None, :, None], b.data[:, None], ctx.red, ctx.p)
-    return FFMatrix(ctx, prod.reshape(r1 * r2, c1 * c2, ctx.deg))
-
-
 def trace(m: FFMatrix) -> FieldElement:
     r, c = m.shape
     if r != c:
         raise ValueError("trace needs a square matrix")
     s = m.data[np.arange(r), np.arange(r)].sum(axis=0) % m.ctx.p
     return FieldElement(m.ctx, s)
-
-
-def partial_trace_1(m: FFMatrix, d_left: int) -> FFMatrix:
-    """Trace out the first tensor factor: tr_1(A (x) B) = tr(A) B."""
-    n, nc = m.shape
-    if n != nc or n % d_left != 0:
-        raise ValueError(f"cannot view {m.shape} as blocks of d_left={d_left}")
-    d_right = n // d_left
-    k = m.ctx.deg
-    blocks = m.data.reshape(d_left, d_right, d_left, d_right, k)
-    out = np.einsum("iuivk->uvk", blocks) % m.ctx.p
-    return FFMatrix(m.ctx, out)
 
 
 def sym_projector(ctx: FieldCtx, d: int) -> FFMatrix:

@@ -34,7 +34,8 @@ written in 0.2-0.3 s instead of 2.1 s.
 JSON.  Sorted keys put "vectors" last, so such a file ends in
 `,"vectors":[[[...]]]}\n`: only the ASCII head before that key goes
 through `json.loads`, and the integer block is parsed by numpy digit
-arithmetic into one preallocated int64 (n, d, K) array.  Each window's
+arithmetic into one preallocated int64 (n, d, K) array, which the
+ensemble adopts as its data without a copy.  Each window's
 non-digit bytes must be exactly the `[[[c,c],[c,c]],[[...` skeleton of the
 shape the head declares, with no sign, fraction, exponent, whitespace,
 leading zero or number over 18 digits.  Any file that fails a check is
@@ -212,21 +213,7 @@ def ensemble_from_design_file(doc: dict) -> Ensemble:
     n = _require(doc, "n")
     vectors = np.asarray(_require(doc, "vectors"))
     if setting == "finite":
-        fld = _require(doc, "field")
-        ctx = build_field(int(fld["p"]), int(fld["k"]))
-        if "modulus" in fld and list(ctx.modulus) != [int(c) for c in fld["modulus"]]:
-            raise SchemaError("field modulus does not match the deterministic one")
-        shape = (n, d, ctx.deg)
-        # `[]` and `[[], ...]` parse as float arrays cut at their first empty axis
-        counts = all(type(v) is int and v >= 0 for v in (n, d))
-        if vectors.size == 0 and counts and vectors.shape == shape[: vectors.ndim]:
-            vectors = np.zeros(shape, dtype=np.int64)
-        if vectors.shape != shape:
-            raise SchemaError(f"finite vectors must have shape ({n}, {d}, {ctx.deg})")
-        if vectors.dtype.kind not in "iu" or np.any(vectors < 0) or np.any(vectors >= ctx.p):
-            raise SchemaError("finite coefficients must be reduced integers in [0, p)")
-        metadata = _decode_value(doc.get("metadata", {}), ctx)
-        return FFEnsemble(ctx, vectors, metadata)
+        return _finite_ensemble(doc, vectors)
     if setting == "complex":
         if vectors.shape != (n, d, 2):
             raise SchemaError(f"complex vectors must have shape ({n}, {d}, 2)")
@@ -244,6 +231,35 @@ def ensemble_from_design_file(doc: dict) -> Ensemble:
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
     raise SchemaError(f"unknown setting {setting!r}")
+
+
+def _finite_ensemble(doc: dict, vectors: np.ndarray, parsed: bool = False) -> FFEnsemble:
+    """The finite ensemble of doc with the given vectors.
+
+    A caller's array is copied.  With parsed=True, vectors is the reader's own
+    fresh array of non-negative digits: it is adopted, and its minimum is not read.
+    The range checks are reductions, so they allocate nothing the size of vectors.
+    """
+    d, n = doc["d"], doc["n"]
+    fld = _require(doc, "field")
+    ctx = build_field(int(fld["p"]), int(fld["k"]))
+    if "modulus" in fld and list(ctx.modulus) != [int(c) for c in fld["modulus"]]:
+        raise SchemaError("field modulus does not match the deterministic one")
+    shape = (n, d, ctx.deg)
+    # `[]` and `[[], ...]` parse as float arrays cut at their first empty axis
+    counts = all(type(v) is int and v >= 0 for v in (n, d))
+    if vectors.size == 0 and counts and vectors.shape == shape[: vectors.ndim]:
+        vectors = np.zeros(shape, dtype=np.int64)
+    if vectors.shape != shape:
+        raise SchemaError(f"finite vectors must have shape ({n}, {d}, {ctx.deg})")
+    if vectors.dtype.kind not in "iu" or (
+        vectors.size > 0 and (vectors.max() >= ctx.p or (not parsed and vectors.min() < 0))
+    ):
+        raise SchemaError("finite coefficients must be reduced integers in [0, p)")
+    metadata = _decode_value(doc.get("metadata", {}), ctx)
+    if parsed:
+        return FFEnsemble._adopt(ctx, vectors, metadata)
+    return FFEnsemble(ctx, vectors, metadata)
 
 
 def save_design(path: str, ens: Ensemble) -> None:
@@ -330,12 +346,14 @@ def _read_canonical_finite(path: str) -> Optional[FFEnsemble]:
             vectors = _parse_vectors(mm, key + len(_VECTORS_KEY), len(mm) - len(_TAIL), shape)
     if vectors is None:
         return None
-    return ensemble_from_design_file({**doc, "vectors": vectors})
+    return _finite_ensemble(doc, vectors, parsed=True)
 
 
 def _declared_shape(doc: Any) -> Optional[Tuple[int, int, int]]:
-    """(n, d, K) of a finite head with positive int n, d and field k, else None."""
+    """(n, d, K) of a finite format-1 head with positive int n, d and field k, else None."""
     if not isinstance(doc, dict) or doc.get("setting") != "finite":
+        return None
+    if doc.get("format") != FORMAT_VERSION:
         return None
     fld = doc.get("field")
     shape = (doc.get("n"), doc.get("d"), fld.get("k") if isinstance(fld, dict) else None)

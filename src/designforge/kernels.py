@@ -42,7 +42,9 @@ G = X^T X for X = x.reshape(N, D*K), summed over row blocks X_b of X: each
 X_b^T X_b is a symmetric product that numpy hands to BLAS syrk, and only one
 block of X is held in float64 at a time.  Step 2 folds G one row i at a
 time, reducing that row mod p first, with H's two factors swapped (the fold
-is symmetric in i and j, so row a*K+b is then x^a * frob(x^b)).
+is symmetric in i and j, so row a*K+b is then x^a * frob(x^b)).  Beside x,
+its peak holds G, the G-sized product X_b^T X_b (numpy has no syrk that adds
+into G) and one block of at most D*K // 4 rows, a quarter of G.
 
 ``elim_update`` multiplies every row by the same pivot, and multiplying by a
 fixed pivot entry is a linear map on coefficient vectors: its (K, K) matrix,
@@ -258,7 +260,7 @@ def frame_operator(x, frob, red, p):
     # G = X^T X summed over row blocks of X = x.reshape(N, D*K), one block in float at a time
     g = np.zeros((d * k, d * k))
     blk = (_EXACT - 1) // (p - 1) ** 2  # rows whose sum stays below 2^53
-    step = max(1, min(_MATMUL_BLOCK // max(d * k, 1), d * k, blk - 1))  # no larger than G
+    step = max(1, min(_MATMUL_BLOCK // max(d * k, 1), d * k // 4, blk - 1))  # G/4 at most
     summed = 0  # rows in g since its last reduction; a residue counts as one
     for lo in range(0, n, step):
         hi = min(lo + step, n)

@@ -224,6 +224,21 @@ def test_choi_from_apply_matches_choi_from_kraus():
         Channel(d, d + 1, choi=c)
 
 
+def test_channel_keeps_its_own_choi():
+    # neither a write through choi() nor one to the caller's array changes the channel
+    eye = np.eye(2)
+    ch = depolarizing_channel(2)
+    out, resid = ch.apply(eye), ch.completeness_residual()
+    with pytest.raises(ValueError):
+        ch.choi()[0, 0] += 1
+    c = depolarizing_channel(2).choi().copy()
+    given = Channel(2, 2, choi=c)
+    c[0, 0] += 1
+    for chan in (ch, given):
+        assert np.array_equal(chan.apply(eye), out)
+        assert chan.completeness_residual() == resid
+
+
 def test_completeness_residual_of_a_non_trace_preserving_channel():
     # tr_out C = (sum_k R_k* R_k)^T, so the residual reads that sum's distance from I
     rng = np.random.default_rng(12)

@@ -116,8 +116,7 @@ def test_frobenius_is_the_conjugation_automorphism():
     rng = np.random.default_rng(3)
     for p, k in [(3, 2), (5, 2), (7, 2), (3, 4), (2, 6)]:
         ctx = build_field(p, k)
-        q = ctx.subfield_order
-        assert q == p ** (k // 2)
+        q = ctx.p ** (ctx.deg // 2)
         for _ in range(25):
             a = ctx.from_int(int(rng.integers(ctx.order)))
             b = ctx.from_int(int(rng.integers(ctx.order)))
@@ -141,7 +140,7 @@ def test_frobenius_needs_even_degree():
     with pytest.raises(NotQuadraticExtension):
         frobenius(ctx.one())
     with pytest.raises(NotQuadraticExtension):
-        _ = ctx.subfield_order
+        ctx.conj_matrix()
 
 
 def test_primitive_element_orders():

@@ -1,6 +1,7 @@
 """Difference sets, finite-field frames, and the exact 2-design verifiers."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,6 +343,25 @@ def test_gabor_small_instance():
             assert v[x] == meta["omega"] ** (s * x)
         else:
             assert v[x].is_zero()
+
+
+def test_gabor_ensemble_holds_one_copy_of_its_vectors():
+    # the phases * support product is adopted as the data, not reduced into a copy
+    gabor_ensemble(2, 6, 3)  # warms the field cache
+    bufsize = np.getbufsize()
+    np.setbufsize(1024)  # numpy's fixed ufunc buffer (128 KiB) is 0.6 of this data
+    tracemalloc.start()
+    try:
+        ens = gabor_ensemble(2, 6, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    assert peak < 1.25 * ens.data.nbytes, peak
+    with pytest.raises(ValueError):
+        ens.data[0, 0, 0] = 1
+    with pytest.raises(ValueError):  # only a fresh C-contiguous int64 array is adopted
+        FFEnsemble._adopt(ens.ctx, ens.data.transpose(1, 0, 2))
 
 
 def test_gabor_parameter_guards():

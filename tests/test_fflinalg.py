@@ -1,4 +1,4 @@
-"""Hermitian linear algebra over F_{q^2}: products, tensors, row reduction."""
+"""Hermitian linear algebra over F_{q^2}: products, projectors, row reduction."""
 
 import numpy as np
 import pytest
@@ -15,12 +15,9 @@ from designforge.fflinalg import (
     herm_inner,
     nullspace,
     outer,
-    partial_trace_1,
     rank,
     row_echelon,
     sym_projector,
-    tensor_mat,
-    tensor_vec,
     trace,
 )
 
@@ -37,6 +34,12 @@ def _rand_mat(rng, ctx, r, c):
 
 def _col(v: FFVector) -> FFMatrix:
     return FFMatrix(v.ctx, v.data[:, None, :])
+
+
+def _tensor(x: FFVector, y: FFVector) -> FFVector:
+    """x (x) y in row-major order, from scalar products."""
+    prods = [(x[i] * y[j]).coeffs for i in range(len(x)) for j in range(len(y))]
+    return FFVector(x.ctx, np.array(prods))
 
 
 def test_shape_validation():
@@ -110,30 +113,6 @@ def test_adjoint_and_outer():
         assert lhs == rhs
 
 
-def test_tensor_products():
-    rng = np.random.default_rng(3)
-    ctx = build_field(3, 2)
-    for _ in range(8):
-        x = _rand_vec(rng, ctx, 2)
-        y = _rand_vec(rng, ctx, 3)
-        t = tensor_vec(x, y)
-        assert len(t) == 6
-        for i in range(2):
-            for j in range(3):
-                assert t[i * 3 + j] == x[i] * y[j]
-        a = _rand_mat(rng, ctx, 2, 2)
-        b = _rand_mat(rng, ctx, 3, 3)
-        # mixed product rule (A (x) B)(x (x) y) = Ax (x) By
-        big = tensor_mat(a, b) @ _col(t)
-        ax = a @ _col(x)
-        by = b @ _col(y)
-        ref = tensor_vec(
-            FFVector(ctx, ax.data[:, 0, :]), FFVector(ctx, by.data[:, 0, :])
-        )
-        assert big == _col(ref)
-        assert trace(tensor_mat(a, b)) == trace(a) * trace(b)
-
-
 def test_trace_properties():
     rng = np.random.default_rng(4)
     ctx = build_field(7, 2)
@@ -144,17 +123,6 @@ def test_trace_properties():
         assert trace(a @ b) == trace(b @ a)
     with pytest.raises(ValueError):
         trace(_rand_mat(rng, ctx, 2, 3))
-
-
-def test_partial_trace():
-    rng = np.random.default_rng(5)
-    ctx = build_field(3, 2)
-    a = _rand_mat(rng, ctx, 2, 2)
-    b = _rand_mat(rng, ctx, 3, 3)
-    pt = partial_trace_1(tensor_mat(a, b), d_left=2)
-    assert pt == b.scale(trace(a))
-    with pytest.raises(ValueError):
-        partial_trace_1(_rand_mat(rng, ctx, 6, 6), d_left=4)
 
 
 @pytest.mark.parametrize("p,k,d", [(3, 2, 2), (5, 2, 3), (7, 2, 4)])
@@ -168,9 +136,9 @@ def test_sym_projector(p, k, d):
     rng = np.random.default_rng(d)
     x = _rand_vec(rng, ctx, d)
     y = _rand_vec(rng, ctx, d)
-    xx = _col(tensor_vec(x, x))
+    xx = _col(_tensor(x, x))
     assert pi @ xx == xx
-    anti = _col(tensor_vec(x, y)) - _col(tensor_vec(y, x))
+    anti = _col(_tensor(x, y)) - _col(_tensor(y, x))
     assert (pi @ anti).is_zero()
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -249,6 +250,36 @@ def test_load_design_reads_canonical_files_as_the_json_path_does(tmp_path, chunk
             assert isinstance(io._read_canonical_finite(path), FFEnsemble), path
 
 
+def test_a_loaded_canonical_file_holds_one_copy_of_its_vectors(tmp_path):
+    # the parsed array is adopted, with no reduced copy and no full-size comparison
+    # array; eight copies of the d = 13 Gabor vectors (1.7 MB) and 4 KiB windows
+    # keep one window's parse temporaries small beside it
+    gabor = gabor_ensemble(2, 6, 3)
+    path = str(tmp_path / "g8.json")
+    io.save_design(path, FFEnsemble(gabor.ctx, np.tile(gabor.data, (8, 1, 1))))
+    with mock.patch.object(io, "_CHUNK_BYTES", 1 << 12):
+        io.load_design(path)  # warms the field cache
+        tracemalloc.start()
+        try:
+            ens = io.load_design(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.25 * ens.data.nbytes, peak
+    assert not ens.data.flags.writeable
+
+
+def test_a_callers_vectors_array_is_copied():
+    gabor = gabor_ensemble(2, 6, 3)
+    doc = io.design_file_from_ensemble(gabor)
+    vectors = np.array(doc["vectors"])
+    ens = io.ensemble_from_design_file({**doc, "vectors": vectors})
+    vectors[5] = 0  # would break the rebuild and the ETF if ens held this array
+    assert np.array_equal(ens.data, gabor.data)
+    assert ffdesigns.verify_etf(ens) == ffdesigns.verify_etf(gabor)
+    assert ffdesigns.verify_etf(ens).method == "structural-gabor"
+
+
 def _first_vector(text):
     return lambda t: t.replace("[[[7,0],", text)
 
@@ -303,6 +334,9 @@ def _vectors_first(text):
         ),
         pytest.param(
             lambda t: t.replace(',"vectors"', ' "vectors"'), io.SchemaError, id="no comma"
+        ),
+        pytest.param(
+            lambda t: t.replace('"format":1', '"format":2'), io.SchemaError, id="format 2"
         ),
         pytest.param(_first_vector("[[[7, 0],"), FFEnsemble, id="space after a comma"),
         pytest.param(lambda t: t[:-1] + "\r\n", FFEnsemble, id="crlf"),

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from designforge import kernels
+from designforge import ffcore, kernels
 from designforge.ffcore import MAX_PRIME, FieldElement, build_field, frobenius
 from designforge.fflinalg import frobenius_array
 
@@ -36,6 +36,17 @@ even_fields = st.sampled_from([f for f in PROPERTY_FIELDS if f[1] % 2 == 0])
 seeds = st.integers(0, 2**32 - 1)
 sizes = st.integers(1, 5)
 PROPERTY = settings(max_examples=25, deadline=None)
+
+
+@PROPERTY
+@given(st.sampled_from(PROPERTY_FIELDS + [(7, 24), (3, 64)]), seeds)
+def test_scalar_product_property(field, seed):
+    # FieldElement.__mul__ folds through ctx.red; _poly_mod divides by the modulus
+    ctx = build_field(*field)
+    rng = np.random.default_rng(seed)
+    for a, b in _rand_elems(rng, ctx, (20, 2)):
+        want = ffcore._poly_mod(np.convolve(a, b), ctx.modulus, ctx.p)
+        assert np.array_equal((_as_elem(ctx, a) * _as_elem(ctx, b)).coeffs, want)
 
 
 # leading shapes of mul_batch's two operands; "n" and "m" are drawn sizes
