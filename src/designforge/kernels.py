@@ -38,13 +38,16 @@ operand: step 2 then folds with H, and no conjugated copy of an operand is
 made.
 
 ``frame_operator`` forms S[i, j] = sum_n x[n, i] * frob(x[n, j]).  Step 1 is
-G = X^T X for X = x.reshape(N, D*K), summed over row blocks X_b of X: each
-X_b^T X_b is a symmetric product that numpy hands to BLAS syrk, and only one
-block of X is held in float64 at a time.  Step 2 folds G one row i at a
-time, reducing that row mod p first, with H's two factors swapped (the fold
-is symmetric in i and j, so row a*K+b is then x^a * frob(x^b)).  Beside x,
-its peak holds G, the G-sized product X_b^T X_b (numpy has no syrk that adds
-into G) and one block of at most D*K // 4 rows, a quarter of G.
+G = X^T X for X = x.reshape(N, D*K), of which only the part on or above the
+diagonal is kept: the D coordinates are split into strips J = [j0, j1) of
+ceil(D/8) coordinates, and strip J holds g_J = G[:j1*K, j0*K:j1*K].  Each
+row block X_b of X, converted to float64 one at a time, adds
+X_b[:, :j1*K]^T X_b[:, j0*K:j1*K] into every g_J.  Step 2 reduces a strip
+mod p and folds it with H's two factors swapped (row a*K+b is then
+x^a * frob(x^b)) into S[:j1, J]; the entries of S[J, :j0] fold the same tile
+with (i, a) and (j, b) swapped, since G is symmetric.  No G-sized array is
+made: beside x, the peak holds about G/2 of strips, one block of at most
+D*K // 4 rows (G/4) and one strip product of at most D*K x (width*K).
 
 ``elim_update`` multiplies every row by the same pivot, and multiplying by a
 fixed pivot entry is a linear map on coefficient vectors: its (K, K) matrix,
@@ -58,9 +61,10 @@ The kernels enforce this and raise OverflowError rather than round:
 
 - product step: inner length * (p-1)^2 < 2^53; a longer inner dimension is
   split into blocks with a reduction mod p after each (``frame_operator``
-  reduces G mod p before its running row count, with a reduced entry
-  counted as one row, would pass that length);
-- fold: K^2 * (p-1)^2 < 2^53; P (or G) is reduced mod p before the fold.
+  reduces every strip of G mod p before its running row count, with a
+  reduced entry counted as one row, would pass that length);
+- fold: K^2 * (p-1)^2 < 2^53; P (or a strip of G) is reduced mod p before
+  the fold.
   The same check covers ``elim_update``, whose two products (pivot with
   fold, then factors with the reduced pivot matrices) each sum K products of
   residues, and the conjugated fold H, a sum of K products reduced mod p;
@@ -252,30 +256,44 @@ def frame_operator(x, frob, red, p):
     """S[i,j] = sum_n x[n,i] * frob(x[n,j]): (N,D,K) -> (D,D,K).
 
     frob is the (K, K) matrix of an F_p-linear map, frob(v) = frob @ v.
+    G = X^T X is summed as column strips on and above its diagonal; beside
+    x the peak is about G/2 of strips, one float row block of at most G/4
+    and one strip product of at most D*K x (width*K) floats.
     """
     x, frob, red = _as_i64(x), _as_i64(frob), _as_i64(red)
     n, d, k = x.shape
+    dk = d * k
     # row a*K+b is x^a * frob(x^b): the conjugated fold's two factors swapped
     h = _conj_fold(frob, red, p).reshape(k, k, k).transpose(1, 0, 2).reshape(k * k, k)
-    # G = X^T X summed over row blocks of X = x.reshape(N, D*K), one block in float at a time
-    g = np.zeros((d * k, d * k))
+    # G = X^T X for X = x.reshape(N, D*K) is kept on and above its diagonal
+    # only, as column strips g_J = G[:j1*K, j0*K:j1*K] of at most eight strips
+    width = max(1, -(-d // 8))
+    strips = [(j0, min(j0 + width, d)) for j0 in range(0, d, width)]
+    g = [np.zeros((j1 * k, (j1 - j0) * k)) for j0, j1 in strips]
     blk = (_EXACT - 1) // (p - 1) ** 2  # rows whose sum stays below 2^53
-    step = max(1, min(_MATMUL_BLOCK // max(d * k, 1), d * k // 4, blk - 1))  # G/4 at most
-    summed = 0  # rows in g since its last reduction; a residue counts as one
+    step = max(1, min(_MATMUL_BLOCK // max(dk, 1), dk // 4, blk - 1))  # G/4 at most
+    summed = 0  # rows in the strips since their last reduction; a residue counts as one
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         if summed + hi - lo > blk:
-            for row in g:
-                _mod_exact(row, p)
+            for gj in g:
+                _mod_exact(gj, p)
             summed = 1
-        xf = x[lo:hi].reshape(hi - lo, d * k).astype(np.float64)
-        g += xf.T @ xf  # symmetric: BLAS syrk
+        xf = x[lo:hi].reshape(hi - lo, dk).astype(np.float64)
+        for (j0, j1), gj in zip(strips, g):
+            gj += xf[:, : j1 * k].T @ xf[:, j0 * k : j1 * k]
         summed += hi - lo
         del xf  # before the next block is converted
-    g = g.reshape(d, k, d, k)
     out = np.empty((d, d, k), dtype=np.int64)
-    for i in range(d):  # reduce and fold one row of G at a time, not a copy of all of it
-        out[i] = _mod_exact(g[i], p).transpose(1, 0, 2).reshape(d, k * k) @ h
+    for (j0, j1), gj in zip(strips, g):
+        w = j1 - j0
+        t = _mod_exact(gj, p).reshape(j1, k, w, k)  # t[i, a, j - j0, b] = G[(i,a), (j,b)]
+        up = t.transpose(0, 2, 1, 3).reshape(j1 * w, k * k) @ h
+        out[:j1, j0:j1] = up.reshape(j1, w, k)
+        # S[j, i] for i < j0 folds the same tile with (i, a) and (j, b)
+        # swapped, since G[(j,a), (i,b)] = G[(i,b), (j,a)] = t[i, b, j - j0, a]
+        low = t[:j0].transpose(2, 0, 3, 1).reshape(w * j0, k * k) @ h
+        out[j0:j1, :j0] = low.reshape(w, j0, k)
     out %= p
     return out
 

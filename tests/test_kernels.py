@@ -251,9 +251,24 @@ def test_frame_operator_row_block_no_larger_than_g():
         tracemalloc.stop()
     assert np.array_equal(got, want)
     assert np.array_equal(got[3, 5], _frame_oracle(ctx, x, 3, 5))
-    # G, the product of one block with itself and a block of G/4, with the
-    # (D, D, K) output: 2.3 G; a block of D*K rows would make it 3 G
-    assert peak < 2.5 * (d * k) ** 2 * 8, peak
+    # the strips on and above the diagonal (0.56 G at eight strips) with a
+    # block of G/4 and one strip product, or while folding with the (D, D, K)
+    # output: 1.12 G; a full G and a G-sized block product made it 2.3 G
+    assert peak < 1.5 * (d * k) ** 2 * 8, peak
+
+
+def test_frame_operator_reduces_every_strip_mid_sum(monkeypatch):
+    # a 2^53 window of 36*7 + 1 gives blk = 7 rows over F_49, so the strips of
+    # d = 11 (width 2, a last strip of 1) are reduced every few rows; the fold
+    # sums K^2 = 4 products, 144 < 253
+    ctx = build_field(7, 2)
+    rng = np.random.default_rng(711)
+    n, d = 40, 11
+    x = _rand_elems(rng, ctx, (n, d))
+    monkeypatch.setattr(kernels, "_EXACT", 36 * 7 + 1)
+    got = kernels.frame_operator(x, ctx.frob_power_matrix(1), ctx.red, ctx.p)
+    for i, j in np.ndindex(d, d):
+        assert np.array_equal(got[i, j], _frame_oracle(ctx, x, i, j)), (i, j)
 
 
 @pytest.mark.parametrize("p,k", BENCH_FIELDS)

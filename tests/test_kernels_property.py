@@ -147,7 +147,7 @@ def test_matmul_property(field, seed, rows, mid, cols):
 
 
 @PROPERTY
-@given(even_fields, seeds, st.integers(0, 5), st.integers(0, 6))
+@given(even_fields, seeds, st.integers(0, 5), st.integers(0, 12))
 def test_frame_operator_property(field, seed, n, d):
     ctx = build_field(*field)
     rng = np.random.default_rng(seed)
