@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ffcore import factorize, is_prime
+from .ffcore import factorize, is_prime, is_prime_power
 
 DEFAULT_TOL = 1e-9
 CERT_TOL = 1e-12
@@ -314,11 +314,9 @@ def kraus_to_design(kraus: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> CE
             raise AsymmetricTerm(f"antisymmetric component {asym:.2e}")
         terms.append(0.5 * (m + m.T))
     tdz = (2.0 / (d + 1)) * symmetric_projector(d)
-    acc = np.zeros((d * d, d * d), dtype=np.complex128)
-    for m in terms:
-        t = m.reshape(-1)
-        acc += np.outer(t, t.conj())
-    resid = float(np.max(np.abs(acc - tdz)))
+    # each term is exactly symmetric, so the Choi matrix's column-stacked
+    # vec(m) is m.reshape(-1) and the sum is that of the outer products t t*
+    resid = float(np.max(np.abs(Channel(d, d, kraus=terms).choi() - tdz)))
     if resid > tol:
         raise ChoiMismatch(f"terms miss the transposed-channel Choi by {resid:.2e}")
     vectors, weights = [], []
@@ -443,10 +441,6 @@ def caratheodory_prune(
 # ---------------------------------------------------------------------------
 
 
-def _is_prime_power(m: int) -> bool:
-    return m >= 2 and len(factorize(m)) == 1
-
-
 def mub_ensemble(d: int) -> CEnsemble:
     """The d(d+1) vectors of a complete set of mutually unbiased bases.
 
@@ -560,15 +554,15 @@ def ebr_bound_table(d: int) -> List[EbrBound]:
         raise ValueError("d must be >= 1")
     out: List[EbrBound] = []
     for k in range(1, EBR_K_MAX + 1):
-        if _is_prime_power(k * d + 1):
+        if is_prime_power(k * d + 1):
             out.append(EbrBound(d, k * d * d + 2 * d, f"k d^2 + 2d (k = {k})", False))
             break
-    if _is_prime_power(d + 1):
+    if is_prime_power(d + 1):
         (p,) = factorize(d + 1)
         out.append(EbrBound(d, d * d + (p + 1) * d, "d^2 + (p+1) d, d+1 = p^s", False))
-    if d >= 2 and _is_prime_power(d - 1):
+    if d >= 2 and is_prime_power(d - 1):
         out.append(EbrBound(d, d * d + 1, "d^2 + 1, d-1 prime power", False))
-    if _is_prime_power(d):
+    if is_prime_power(d):
         out.append(EbrBound(d, d * d + d - 1, "d^2 + d - 1, d prime power", False))
         constructive = d == 2 or is_prime(d)
         out.append(EbrBound(d, d * d + d, "d^2 + d, d prime power", constructive))

@@ -369,48 +369,38 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_export(args) -> int:
+    import numpy as np
+
     from . import io
     from .cdesigns import CEnsemble
     from .ffdesigns import DifferenceSet, FFEnsemble
-    from .qdesigns import QEnsemble
 
     ens = io.load_design(args.file)
     if args.format == "json":
         io.save_design(args.out, ens)
         print(f"wrote {args.out}")
         return EXIT_OK
-    # CSV: one row per vector, flat real coordinates
+    # CSV: one row per vector, its real coordinates in the design file's layout
+    if isinstance(ens, DifferenceSet):
+        header, rows = ["element"], [[e] for e in ens.elements]
+    else:
+        n, d = ens.n, ens.d
+        if isinstance(ens, FFEnsemble):
+            names = [f"e{i}_c{j}" for i in range(d) for j in range(ens.ctx.deg)]
+            coords = ens.data.reshape(n, len(names))
+        elif isinstance(ens, CEnsemble):
+            vectors = np.stack([ens.vectors.real, ens.vectors.imag], axis=-1).reshape(n, 2 * d)
+            names = ["weight"] + [f"{part}{i}" for i in range(d) for part in ("re", "im")]
+            coords = np.column_stack([ens.weights, vectors])
+        else:
+            names = [f"e{i}_{c}" for i in range(d) for c in "wxyz"]
+            coords = ens.vectors.reshape(n, len(names))
+        header = ["index"] + names
+        rows = [[idx] + row for idx, row in enumerate(coords.tolist())]
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
-        if isinstance(ens, FFEnsemble):
-            k = ens.ctx.deg
-            w.writerow(["index"] + [f"e{i}_c{j}" for i in range(ens.d) for j in range(k)])
-            for idx in range(ens.n):
-                w.writerow([idx] + ens.data[idx].reshape(-1).tolist())
-        elif isinstance(ens, CEnsemble):
-            w.writerow(
-                ["index", "weight"]
-                + [f"{part}{i}" for i in range(ens.d) for part in ("re", "im")]
-            )
-            for idx in range(ens.n):
-                flat = []
-                for i in range(ens.d):
-                    flat += [
-                        repr(float(ens.vectors[idx, i].real)),
-                        repr(float(ens.vectors[idx, i].imag)),
-                    ]
-                w.writerow([idx, repr(float(ens.weights[idx]))] + flat)
-        elif isinstance(ens, QEnsemble):
-            w.writerow(
-                ["index"]
-                + [f"e{i}_{c}" for i in range(ens.d) for c in ("w", "x", "y", "z")]
-            )
-            for idx in range(ens.n):
-                w.writerow([idx] + [repr(float(v)) for v in ens.vectors[idx].reshape(-1)])
-        elif isinstance(ens, DifferenceSet):
-            w.writerow(["element"])
-            for e in ens.elements:
-                w.writerow([e])
+        w.writerow(header)
+        w.writerows(rows)
     print(f"wrote {args.out}")
     return EXIT_OK
 

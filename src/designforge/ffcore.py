@@ -208,6 +208,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def is_prime_power(n: int) -> bool:
+    """True iff n = p^s for a prime p and s >= 1."""
+    return n >= 2 and len(factorize(n)) == 1
+
+
 def _pollard_rho(n: int) -> Optional[int]:
     if n % 2 == 0:
         return 2

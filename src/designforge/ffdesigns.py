@@ -38,6 +38,7 @@ from .ffcore import (
     FieldElement,
     build_field,
     factorize,
+    is_prime_power,
     primitive_element,
     root_of_unity,
     subfield_trace,
@@ -294,17 +295,6 @@ def _tight_constant(ens: FFEnsemble) -> Optional[FieldElement]:
     if c.is_zero() and rank(ctx, ens.data, max_pivots=d) != d:
         return None  # vectors do not span
     return c
-
-
-def check_vanishing_bound(ens: FFEnsemble) -> bool:
-    """For a 0-tight frame, n >= 2 d; a violation would be a bug here.
-
-    A verified tight frame spans F^d, so its span has dimension d.
-    """
-    c = check_tight_frame(ens)
-    if c is None or not c.is_zero():
-        raise PreconditionViolated("ensemble is not a verified 0-tight frame")
-    return ens.n >= 2 * ens.d
 
 
 # ---------------------------------------------------------------------------
@@ -790,15 +780,6 @@ def _primes_upto(m: int) -> List[int]:
             sieve[i * i :: i] = False
     return [int(i) for i in np.nonzero(sieve)[0]]
 
-def _prime_powers_upto(m: int) -> List[int]:
-    out = []
-    for p in _primes_upto(m):
-        v = p
-        while v <= m:
-            out.append(v)
-            v *= p
-    return sorted(out)
-
 
 def param_search(p_max: int, k_max: int, r_max: int) -> List[SearchRow]:
     """All (p, k, r) with p | r-1 and r^2+r+1 | p^k+1, k minimal, in bounds.
@@ -811,7 +792,7 @@ def param_search(p_max: int, k_max: int, r_max: int) -> List[SearchRow]:
         raise ValueError("bounds must be positive")
     rows = []
     primes = _primes_upto(p_max)
-    for r in _prime_powers_upto(r_max):
+    for r in filter(is_prime_power, range(2, r_max + 1)):
         d = r * r + r + 1
         for p in primes:
             if (r - 1) % p != 0:

@@ -47,7 +47,9 @@ mod p and folds it with H's two factors swapped (row a*K+b is then
 x^a * frob(x^b)) into S[:j1, J]; the entries of S[J, :j0] fold the same tile
 with (i, a) and (j, b) swapped, since G is symmetric.  No G-sized array is
 made: beside x, the peak holds about G/2 of strips, one block of at most
-D*K // 4 rows (G/4) and one strip product of at most D*K x (width*K).
+max(D*K // 4, 1024 // (D*K)) rows (G/4 once D*K >= 64; the floor of about
+1024 floats keeps tiny D*K from looping once per row) and one strip product
+of at most D*K x (width*K).
 
 ``elim_update`` multiplies every row by the same pivot, and multiplying by a
 fixed pivot entry is a linear map on coefficient vectors: its (K, K) matrix,
@@ -258,7 +260,8 @@ def frame_operator(x, frob, red, p):
     frob is the (K, K) matrix of an F_p-linear map, frob(v) = frob @ v.
     G = X^T X is summed as column strips on and above its diagonal; beside
     x the peak is about G/2 of strips, one float row block of at most G/4
-    and one strip product of at most D*K x (width*K) floats.
+    (or 1024 floats when D*K < 64) and one strip product of at most
+    D*K x (width*K) floats.
     """
     x, frob, red = _as_i64(x), _as_i64(frob), _as_i64(red)
     n, d, k = x.shape
@@ -271,7 +274,8 @@ def frame_operator(x, frob, red, p):
     strips = [(j0, min(j0 + width, d)) for j0 in range(0, d, width)]
     g = [np.zeros((j1 * k, (j1 - j0) * k)) for j0, j1 in strips]
     blk = (_EXACT - 1) // (p - 1) ** 2  # rows whose sum stays below 2^53
-    step = max(1, min(_MATMUL_BLOCK // max(dk, 1), dk // 4, blk - 1))  # G/4 at most
+    # G/4 at most, but never below about 1024 floats per block
+    step = max(1, min(_MATMUL_BLOCK // max(dk, 1), max(dk // 4, 1024 // max(dk, 1)), blk - 1))
     summed = 0  # rows in the strips since their last reduction; a residue counts as one
     for lo in range(0, n, step):
         hi = min(lo + step, n)

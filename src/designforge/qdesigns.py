@@ -90,22 +90,13 @@ def q_herm_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def qmatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Quaternion matrix product of (m, t, 4) and (t, n, 4)."""
+    """Quaternion matrix product of (m, t, 4) and (t, n, 4): the Hamilton
+    products a[i, s] b[s, j] of `qmul`, summed over s."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape[1] != b.shape[0]:
         raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    aw, ax, ay, az = (a[..., c] for c in range(4))
-    bw, bx, by, bz = (b[..., c] for c in range(4))
-    return np.stack(
-        [
-            aw @ bw - ax @ bx - ay @ by - az @ bz,
-            aw @ bx + ax @ bw + ay @ bz - az @ by,
-            aw @ by - ax @ bz + ay @ bw + az @ bx,
-            aw @ bz + ax @ by - ay @ bx + az @ bw,
-        ],
-        axis=-1,
-    )
+    return qmul(a[:, :, None], b[None]).sum(axis=1)
 
 
 def conj_transpose(a: np.ndarray) -> np.ndarray:
@@ -143,8 +134,7 @@ def complex_embed(q: np.ndarray) -> np.ndarray:
 
     Multiplicative, additive, and trace-halving: tr f(q) = 2 Re q.
     """
-    q = np.asarray(q, dtype=np.float64)
-    return q[0] * _F1 + q[1] * _FI + q[2] * _FJ + q[3] * _FK
+    return complex_lift(np.asarray(q)[None, None])
 
 
 def complex_lift(a: np.ndarray) -> np.ndarray:
@@ -559,40 +549,28 @@ def optimize_design(
 # ---------------------------------------------------------------------------
 
 
+def _matrix_basis(d: int, diagonal_units, sign: float) -> np.ndarray:
+    """Real basis of the quaternion d x d matrices M with M* = sign M: each
+    diagonal unit at each (i, i), then for i < j each unit u at (i, j)
+    with sign conj(u) at (j, i)."""
+    diagonal = [(i, i, u) for i in range(d) for u in diagonal_units]
+    upper = [(i, j, u) for i in range(d) for j in range(i + 1, d) for u in (Q_ONE, Q_I, Q_J, Q_K)]
+    out = []
+    for i, j, u in diagonal + upper:
+        m = np.zeros((d, d, 4))
+        m[j, i] = sign * qconj(u)  # overwritten on the diagonal, where it equals u
+        m[i, j] = u
+        out.append(m)
+    return np.array(out)
+
+
 def hermitian_basis(d: int) -> np.ndarray:
     """Real basis of Hermitian quaternion d x d matrices: d diagonal units
     plus 4 C(d,2) off-diagonal pairs; d + 4 C(d,2) = d(2d-1) elements."""
-    out = []
-    for i in range(d):
-        m = np.zeros((d, d, 4))
-        m[i, i, 0] = 1.0
-        out.append(m)
-    units = (Q_ONE, Q_I, Q_J, Q_K)
-    for i in range(d):
-        for j in range(i + 1, d):
-            for u in units:
-                m = np.zeros((d, d, 4))
-                m[i, j] = u
-                m[j, i] = qconj(u)
-                out.append(m)
-    return np.array(out)
+    return _matrix_basis(d, (Q_ONE,), 1.0)
 
 
 def anti_hermitian_basis(d: int) -> np.ndarray:
     """Real basis of anti-Hermitian quaternion matrices: 3d diagonal
     imaginary units plus 4 C(d,2) off-diagonal pairs; 3d + 4 C(d,2)."""
-    out = []
-    for i in range(d):
-        for u in (Q_I, Q_J, Q_K):
-            m = np.zeros((d, d, 4))
-            m[i, i] = u
-            out.append(m)
-    units = (Q_ONE, Q_I, Q_J, Q_K)
-    for i in range(d):
-        for j in range(i + 1, d):
-            for u in units:
-                m = np.zeros((d, d, 4))
-                m[i, j] = u
-                m[j, i] = -qconj(u)
-                out.append(m)
-    return np.array(out)
+    return _matrix_basis(d, (Q_I, Q_J, Q_K), -1.0)

@@ -21,6 +21,7 @@ from designforge.ffcore import (
     fixed_by_frobenius,
     frobenius,
     is_prime,
+    is_prime_power,
     primitive_element,
     root_of_unity,
     subfield_trace,
@@ -213,6 +214,18 @@ def test_is_prime_matches_sieve_on_supported_range():
         if n not in primes:
             with pytest.raises(NonPrimeModulus):
                 build_field(n, 1)
+
+
+def test_is_prime_power_matches_sieve():
+    limit = 4096
+    powers = set()
+    for p in _primes_upto(limit):
+        q = p
+        while q <= limit:
+            powers.add(q)
+            q *= p
+    for n in range(-1, limit + 1):
+        assert is_prime_power(n) == (n in powers), n
 
 
 def _first_irreducible_plain(p, k):

@@ -15,7 +15,6 @@ from designforge.ffdesigns import (
     InvalidDifferenceSet,
     MetadataMissing,
     NotPrimePower,
-    PreconditionViolated,
     ZeroC2,
     certify_tight_2design,
     check_2design_naive,
@@ -23,7 +22,6 @@ from designforge.ffdesigns import (
     check_etf,
     check_gerzon,
     check_tight_frame,
-    check_vanishing_bound,
     decomposition_check,
     gabor_ensemble,
     gram_sample_check,
@@ -107,16 +105,6 @@ def test_f9_is_a_zero_tight_etf(f9):
     assert bool(res)
     a, b, c1 = res.params
     assert (a, b, c1) == (ctx.zero(), ctx.one(), ctx.zero())
-    assert check_vanishing_bound(f9)
-
-
-def test_vanishing_bound_requires_zero_tightness(f9):
-    ctx = f9.ctx
-    basis = np.zeros((2, 2, 2), dtype=np.int64)
-    basis[0, 0, 0] = 1
-    basis[1, 1, 0] = 1
-    with pytest.raises(PreconditionViolated):
-        check_vanishing_bound(FFEnsemble(ctx, basis))
 
 
 def test_etf_counterexamples(f9):
@@ -581,7 +569,7 @@ def test_verified_tight_frame_is_not_row_reduced_again(monkeypatch):
     ranks = _counting(monkeypatch, "rank")
     res = check_etf(plain)
     assert [v.to_int() for v in res.params] == [0, 1, 0]
-    assert check_vanishing_bound(plain)
+    assert check_tight_frame(plain).is_zero()
     assert len(ranks) == 1  # the spanning check of c = 0 tightness, and only that
 
 

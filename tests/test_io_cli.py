@@ -912,3 +912,81 @@ def test_cli_export_csv_floats_round_trip(tmp_path, capsys):
         flat = np.array([float(x) for x in parts[2:]])
         vec = flat[0::2] + 1j * flat[1::2]
         assert np.array_equal(vec, ens.vectors[idx])
+
+
+# Inputs of the golden CSV test. The quaternion vectors are those `construct
+# q-simplex` writes, recorded so that the text does not depend on which
+# eigenbasis LAPACK returns; the complex ones are the d = 2 SIC with
+# non-uniform weights.
+_GOLDEN_COMPLEX = {
+    "format": 1, "setting": "complex", "d": 2, "n": 4,
+    "vectors": [
+        [[1.0, 0.0], [0.0, 0.0]],
+        [[0.5773502691896258, 0.0], [0.816496580927726, 0.0]],
+        [[0.5773502691896258, 0.0], [-0.40824829046386285, 0.7071067811865476]],
+        [[0.5773502691896258, 0.0], [-0.4082482904638633, -0.7071067811865474]],
+    ],
+    "weights": [0.16666666666666666, 0.3333333333333333, 0.25, 0.25],
+}
+_GOLDEN_QUATERNION = {
+    "format": 1, "setting": "quaternion", "d": 2, "n": 6,
+    "vectors": [
+        [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+        [[0.6324555320336759, 0.0, 0.0, 0.0], [0.4973092044453891, 0.5938716655759005, 0.0, 0.0]],
+        [[0.6324555320336759, 0.0, 0.0, 0.0],
+         [-0.6993410687513276, 0.3330496502891874,
+          -1.8027775184845915e-16, 3.6055550369691825e-17]],
+        [[0.6324555320336759, 0.0, 0.0, 0.0],
+         [0.06734395476864634, -0.3089737719550293, 0.7071067811865475, -1.5767885109816904e-16]],
+        [[0.6324555320336759, 0.0, 0.0, 0.0],
+         [0.06734395476864644, -0.3089737719550294, -0.35355339059327373, -0.6123724356957945]],
+        [[0.6324555320336759, 0.0, 0.0, 0.0],
+         [0.06734395476864644, -0.3089737719550294, -0.3535533905932737, 0.6123724356957946]],
+    ],
+}
+_GOLDEN_CSV = {
+    "finite": [
+        "index,e0_c0,e0_c1,e1_c0,e1_c1",
+        "0,1,0,1,1",
+        "1,1,0,2,2",
+        "2,1,1,1,0",
+        "3,1,1,2,0",
+    ],
+    "complex": [
+        "index,weight,re0,im0,re1,im1",
+        "0,0.16666666666666666,1.0,0.0,0.0,0.0",
+        "1,0.3333333333333333,0.5773502691896258,0.0,0.816496580927726,0.0",
+        "2,0.25,0.5773502691896258,0.0,-0.40824829046386285,0.7071067811865476",
+        "3,0.25,0.5773502691896258,0.0,-0.4082482904638633,-0.7071067811865474",
+    ],
+    "quaternion": [
+        "index,e0_w,e0_x,e0_y,e0_z,e1_w,e1_x,e1_y,e1_z",
+        "0,1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0",
+        "1,0.6324555320336759,0.0,0.0,0.0,0.4973092044453891,0.5938716655759005,0.0,0.0",
+        "2,0.6324555320336759,0.0,0.0,0.0,-0.6993410687513276,0.3330496502891874,"
+        "-1.8027775184845915e-16,3.6055550369691825e-17",
+        "3,0.6324555320336759,0.0,0.0,0.0,0.06734395476864634,-0.3089737719550293,"
+        "0.7071067811865475,-1.5767885109816904e-16",
+        "4,0.6324555320336759,0.0,0.0,0.0,0.06734395476864644,-0.3089737719550294,"
+        "-0.35355339059327373,-0.6123724356957945",
+        "5,0.6324555320336759,0.0,0.0,0.0,0.06734395476864644,-0.3089737719550294,"
+        "-0.3535533905932737,0.6123724356957946",
+    ],
+    "difference-set": ["element", "0", "1", "3"],
+}
+
+
+def test_cli_export_csv_text_is_pinned_per_setting(tmp_path, capsys):
+    """The whole CSV text, header and rows, of one small design per setting."""
+    inputs = {"finite": fixture_path("f9_d2_design.json")}
+    for name, doc in [("complex", _GOLDEN_COMPLEX), ("quaternion", _GOLDEN_QUATERNION)]:
+        inputs[name] = str(tmp_path / f"{name}.json")
+        io.save_json(inputs[name], doc)
+    inputs["difference-set"] = str(tmp_path / "ds.json")
+    _run(capsys, ["construct", "singer", "--r", "2", "--out", inputs["difference-set"]])
+    for name, f in inputs.items():
+        out_csv = str(tmp_path / f"{name}.csv")
+        code, _ = _run(capsys, ["export", f, "--format", "csv", "--out", out_csv])
+        assert code == 0
+        with open(out_csv, newline="") as fh:
+            assert fh.read() == "".join(line + "\r\n" for line in _GOLDEN_CSV[name]), name

@@ -470,6 +470,45 @@ def test_optimizer_degenerate_cases():
 # ---------------------------------------------------------------------------
 
 
+def _matrices(cells_per_element):
+    """(len, 2, 2, 4) stack with the given {(i, j): quaternion} entries, zero elsewhere."""
+    out = np.zeros((len(cells_per_element), 2, 2, 4))
+    for r, cells in enumerate(cells_per_element):
+        for (i, j), q in cells.items():
+            out[r, i, j] = q
+    return out
+
+
+def test_matrix_bases_order_and_entries_at_d2():
+    one, i, j, k = Q_ONE, Q_I, Q_J, Q_K
+    herm = _matrices(
+        [
+            {(0, 0): one},
+            {(1, 1): one},
+            {(0, 1): one, (1, 0): one},
+            {(0, 1): i, (1, 0): -i},
+            {(0, 1): j, (1, 0): -j},
+            {(0, 1): k, (1, 0): -k},
+        ]
+    )
+    anti = _matrices(
+        [
+            {(0, 0): i},
+            {(0, 0): j},
+            {(0, 0): k},
+            {(1, 1): i},
+            {(1, 1): j},
+            {(1, 1): k},
+            {(0, 1): one, (1, 0): -one},
+            {(0, 1): i, (1, 0): i},
+            {(0, 1): j, (1, 0): j},
+            {(0, 1): k, (1, 0): k},
+        ]
+    )
+    assert np.array_equal(hermitian_basis(2), herm)
+    assert np.array_equal(anti_hermitian_basis(2), anti)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_hermitian_split_spans_everything(d):
     herm = hermitian_basis(d)
