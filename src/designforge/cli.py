@@ -108,10 +108,10 @@ def _design_entry(ens, tol: float) -> dict:
 
 
 def _tight_entry(ens, tol: float) -> dict:
-    from .ffdesigns import check_tight_frame
+    from .ffdesigns import check_tight_frame, tight_frame_route
 
     c = check_tight_frame(ens)
-    entry = {"name": "tight", "method": "frame-operator", "ok": c is not None, "exact": True}
+    entry = {"name": "tight", "method": tight_frame_route(ens), "ok": c is not None, "exact": True}
     if c is not None:
         entry["values"] = {"c": c.to_int()}
     return entry

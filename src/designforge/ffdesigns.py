@@ -12,12 +12,14 @@ quantities attached to an equiangular tight frame are
 A 2-design is a c2-tight frame of the lifted vectors x_k (x) x_k for the
 symmetric subspace.  Two independent verification routes are provided (a
 dense tensor comparison and a blockwise map comparison) plus a parameter
-certificate route for ensembles far too large to verify directly.
+certificate route for ensembles far too large to verify directly.  A Gabor
+ensemble that its metadata rebuilds gets c and c2 from counts on its
+difference set instead (`_weyl_heisenberg`).
 
 An FFEnsemble's data and metadata are read-only, so a private memo can keep
 every fact the claims share for the ensemble's life: the tightness
-constant, the canonical products <x_0, x_j>, whether the Gabor metadata
-rebuilds the data, and the ETF verdict.
+constant and its route, the canonical products <x_0, x_j>, whether the
+Gabor metadata rebuilds the data, and the ETF verdict.
 `verify_etf` alone picks the ETF route (structural when that rebuild
 matches exactly, else the full Gram), so the ETF and design claims share
 one verdict.
@@ -38,6 +40,7 @@ from .ffcore import (
     FieldElement,
     build_field,
     factorize,
+    frobenius,
     is_prime_power,
     primitive_element,
     root_of_unity,
@@ -275,14 +278,39 @@ def check_tight_frame(ens: FFEnsemble) -> Optional[FieldElement]:
     """Return c with sum_k x_k x_k* = c I, or None if the ensemble is not tight.
 
     When c = 0 tightness alone says nothing, so the spanning condition is
-    checked explicitly, on a prefix of the vectors when one suffices; for
-    c != 0 it is implied.  In dimension 0 every c fits, so none is
-    reported.  The answer is computed once per ensemble.
+    checked too; for c != 0 it is implied.  On an ensemble that its Gabor
+    metadata rebuilds exactly, c = d |D| and spanning are derived from the
+    difference set once `_weyl_heisenberg` has checked that omega has order
+    d, that frob(omega) omega = 1 and that p does not divide d (see
+    `tight_frame_route`).  Every other ensemble gets the exact frame
+    operator, and for c = 0 a rank, on a prefix of the vectors when one
+    suffices.  In dimension 0 every c fits, so none is reported.  The
+    answer is computed once per ensemble.
     """
+    return _tight(ens)[0]
+
+
+def tight_frame_route(ens: FFEnsemble) -> str:
+    """The route `check_tight_frame` takes: "weyl-heisenberg" or "frame-operator"."""
+    return _tight(ens)[1]
+
+
+def _tight(ens: FFEnsemble) -> Tuple[Optional[FieldElement], str]:
     return _memoized(ens, "tight", lambda: _tight_constant(ens))
 
 
-def _tight_constant(ens: FFEnsemble) -> Optional[FieldElement]:
+def _tight_constant(ens: FFEnsemble) -> Tuple[Optional[FieldElement], str]:
+    if _rebuilds_gabor(ens):
+        try:
+            c, _ = _weyl_heisenberg(ens.ctx, ens.d, ens.metadata["D"], ens.metadata["omega"])
+        except PreconditionViolated:
+            pass  # the identity is not proved for this omega: compute S
+        else:
+            return ens.ctx.scalar(c), "weyl-heisenberg"
+    return _frame_operator_constant(ens), "frame-operator"
+
+
+def _frame_operator_constant(ens: FFEnsemble) -> Optional[FieldElement]:
     ctx, d = ens.ctx, ens.d
     if d == 0:
         return None
@@ -295,6 +323,52 @@ def _tight_constant(ens: FFEnsemble) -> Optional[FieldElement]:
     if c.is_zero() and rank(ctx, ens.data, max_pivots=d) != d:
         return None  # vectors do not span
     return c
+
+
+def _weyl_heisenberg(
+    ctx: FieldCtx, d: int, elements: Sequence[int], omega: FieldElement
+) -> Tuple[int, Optional[int]]:
+    """(c, c2) of the Gabor system x_{s d + t}[i] = omega^(s i) 1_D(i - t), s, t mod d.
+
+    c is the tightness constant and c2 the design constant T = c2 Pi (or
+    None), as integers mod p, derived from counts on D without forming
+    either tensor.  Summing over the modulations s leaves
+    sum_s omega^(s m) = d [m = 0], so S = d |D| I, and
+    T[(i,j),(i',j')] = d [i+j = i'+j'] count, where orbit reduction makes
+    the d x d array C[s', j] = #{u in D : s'+u, j+u, s'-j+u in D} decide
+    T = c2 Pi: d C[s', j] = (c2/2)(delta_{j,0} + delta_{j,s'}) mod p for odd p
+    (Weyl-Heisenberg covariance; Renes, Blume-Kohout, Scott and Caves
+    2004).  C[0, 0] = |D|, so c2 = c whenever it exists.
+
+    The sums need omega of order exactly d and frob(omega) = omega^-1, and
+    spanning needs p not dividing d: the d^2 operators M^s T^t then span
+    M_d(F), so any nonzero window spans F^d and c = 0 is a tight frame too.
+    PreconditionViolated is raised when one of these or D != {} fails.
+    """
+    p, one = ctx.p, ctx.one()
+    support = np.zeros(d, dtype=bool)
+    support[np.asarray(elements, dtype=np.int64) % d] = True
+    window = np.flatnonzero(support)
+    if d % p == 0:
+        raise PreconditionViolated(f"p = {p} divides d = {d}")
+    if window.size == 0:
+        raise PreconditionViolated("empty window")
+    if omega**d != one or any(omega ** (d // ell) == one for ell in factorize(d)):
+        raise PreconditionViolated(f"omega does not have order d = {d}")
+    if frobenius(omega) * omega != one:
+        raise PreconditionViolated("frob(omega) omega != 1")
+    c = d * window.size % p
+    if p == 2:
+        return c, None  # c2/2 has no meaning
+    # each (u, a, b) in D^3 with a + b - u in D adds 1 to C[a + b - 2u, a - u]
+    u, a, b = np.meshgrid(window, window, window, indexing="ij")
+    hit = support[(a + b - u) % d]
+    flat = ((a + b - 2 * u) % d) * d + (a - u) % d
+    counts = np.bincount(flat[hit], minlength=d * d).reshape(d, d)
+    s, j = np.ogrid[:d, :d]
+    half = c * (p + 1) // 2 % p
+    expected = half * ((j == 0).astype(np.int64) + (j == s)) % p
+    return c, (c if np.array_equal(d * counts % p, expected) else None)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +612,12 @@ def certify_tight_2design(ens: FFEnsemble) -> FFCertificate:
     a(a^2 - b) = b c1 (for a != 0) or d = -1 mod p (for a = 0) is an
     (a, c1, c2)-design with c2 = 2(a^2 - b).  ETF parameters come from
     `verify_etf`, the memoized verdict that the ETF claim reports too.
-    Within budget the blockwise route re-verifies c2.
+    Within budget the blockwise route re-verifies c2.  On an ensemble that
+    its Gabor metadata rebuilds (the structural route), the Weyl-Heisenberg
+    count array on D re-verifies c2 in odd characteristic at any size, once
+    omega is checked to have order d with frob(omega) omega = 1 and p is
+    checked not to divide d; its tightness constant c1 comes from the same
+    checks (`check_tight_frame`).  A route that disagrees raises DesignError.
     """
     ctx = ens.ctx
     n, d = ens.n, ens.d
@@ -580,10 +659,19 @@ def certify_tight_2design(ens: FFEnsemble) -> FFCertificate:
         got = check_2design_psi(ens)
     except BudgetExceeded as exc:
         cert.cross_checks.append(f"psi-route skipped: {exc}")
-        return cert
-    if got is None or got != c2:
-        raise DesignError("internal: blockwise route contradicts certificate")
-    cert.cross_checks.append("psi-route agrees")
+    else:
+        if got is None or got != c2:
+            raise DesignError("internal: blockwise route contradicts certificate")
+        cert.cross_checks.append("psi-route agrees")
+    if method == "structural-gabor":
+        try:
+            _, wh_c2 = _weyl_heisenberg(ctx, d, ens.metadata["D"], ens.metadata["omega"])
+        except PreconditionViolated as exc:
+            cert.cross_checks.append(f"weyl-heisenberg route skipped: {exc}")
+            return cert
+        if wh_c2 is None or ctx.scalar(wh_c2) != c2:
+            raise DesignError("internal: weyl-heisenberg route contradicts certificate")
+        cert.cross_checks.append("weyl-heisenberg route agrees")
     return cert
 
 
@@ -669,7 +757,8 @@ def _gabor_parts(p: int, k: int, r: int):
 
 
 def _rebuilds_gabor(ens: FFEnsemble) -> bool:
-    """True when gabor_ensemble(p, k, r) from the metadata reproduces ens exactly.
+    """True when the metadata is of kind "gabor" and gabor_ensemble(p, k, r)
+    from it reproduces ens exactly.
 
     Data and metadata are read-only, so the verdict holds for the ensemble's life.
     """
@@ -678,6 +767,8 @@ def _rebuilds_gabor(ens: FFEnsemble) -> bool:
 
 def _rebuild_matches(ens: FFEnsemble) -> bool:
     meta, d = ens.metadata, ens.d
+    if meta.get("kind") != "gabor":
+        return False
     p, k, r = (meta.get(key) for key in ("p", "k", "r"))
     if not all(isinstance(v, int) for v in (p, k, r)):
         return False
@@ -704,8 +795,11 @@ def structural_gabor_verify(ens: FFEnsemble) -> EtfCheck:
     construction itself, so the metadata must rebuild the data exactly
     (same field, D, alpha and omega, equal vectors; the rebuild is
     compared one block of d vectors at a time and never built whole),
-    else MetadataMissing is raised.  Tightness is still checked
-    exactly on the full frame operator.
+    else MetadataMissing is raised.  On that rebuild `check_tight_frame`
+    derives tightness, c = d |D|, and spanning from the difference set
+    once omega is checked to have order d with frob(omega) omega = 1 and p
+    is checked not to divide d; if a check fails, it falls back to the
+    exact frame operator.
     """
     if ens.metadata.get("kind") != "gabor":
         raise MetadataMissing("structural verification needs Gabor metadata")
@@ -739,7 +833,7 @@ def verify_etf(ens: FFEnsemble) -> EtfCheck:
 
 
 def _etf_verdict(ens: FFEnsemble) -> EtfCheck:
-    if ens.metadata.get("kind") == "gabor" and _rebuilds_gabor(ens):
+    if _rebuilds_gabor(ens):
         return structural_gabor_verify(ens)
     return check_etf(ens)
 

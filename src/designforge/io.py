@@ -217,7 +217,8 @@ def ensemble_from_design_file(doc: dict) -> Ensemble:
     if setting == "complex":
         if vectors.shape != (n, d, 2):
             raise SchemaError(f"complex vectors must have shape ({n}, {d}, 2)")
-        cv = vectors[..., 0] + 1j * vectors[..., 1]
+        cv = np.empty((n, d), dtype=np.complex128)  # part by part: x + 1j*y drops a -0.0
+        cv.real, cv.imag = vectors[..., 0], vectors[..., 1]
         weights = doc.get("weights")
         try:
             return CEnsemble(cv, None if weights is None else np.asarray(weights, dtype=float))

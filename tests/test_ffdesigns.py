@@ -6,15 +6,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from designforge.ffcore import NotQuadraticExtension, OrderDoesNotDivide, build_field, frobenius
+from designforge.ffcore import (
+    NotQuadraticExtension,
+    OrderDoesNotDivide,
+    build_field,
+    frobenius,
+    root_of_unity,
+)
 from designforge.fflinalg import BudgetExceeded, EvenCharacteristic, FFMatrix, FFVector
-from designforge import ffdesigns, fflinalg
+from designforge import ffdesigns, fflinalg, kernels
 from designforge.ffdesigns import (
+    DesignError,
     DifferenceSet,
     FFEnsemble,
     InvalidDifferenceSet,
     MetadataMissing,
     NotPrimePower,
+    PreconditionViolated,
     ZeroC2,
     certify_tight_2design,
     check_2design_naive,
@@ -29,6 +37,7 @@ from designforge.ffdesigns import (
     param_search,
     singer_difference_set,
     structural_gabor_verify,
+    tight_frame_route,
     verify_difference_set,
     verify_etf,
 )
@@ -557,9 +566,14 @@ def test_conjugate_computed_once_per_ensemble(monkeypatch, f9):
 
 def _counting(monkeypatch, name):
     """Replace ffdesigns.<name> by a wrapper that records each call."""
+    return _counting_in(monkeypatch, ffdesigns, name)
+
+
+def _counting_in(monkeypatch, module, name):
+    """Replace module.<name> by a wrapper that records each call."""
     calls = []
-    real = getattr(ffdesigns, name)
-    monkeypatch.setattr(ffdesigns, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or real(*a, **k))
     return calls
 
 
@@ -616,3 +630,148 @@ def test_etf_verdict_computed_once_per_ensemble(monkeypatch):
     assert len(full_grams) == 1
     with pytest.raises(dataclasses.FrozenInstanceError):
         res.method = "structural-gabor"
+
+
+# ---------------------------------------------------------------------------
+# Weyl-Heisenberg route: constants of a rebuilt Gabor ensemble from counts on D
+# ---------------------------------------------------------------------------
+
+
+def _gabor_system(ctx, d, window, omega):
+    """x_{s d + t}[i] = omega^(s i) 1_D(i - t), built directly from the definition."""
+    pows = np.stack([(omega**e).coeffs for e in range(d)])
+    data = np.zeros((d, d, d, ctx.deg), dtype=np.int64)
+    for s in range(d):
+        for t in range(d):
+            for u in window:
+                i = (u + t) % d
+                data[s, t, i] = pows[s * i % d]
+    return data.reshape(d * d, d, ctx.deg)
+
+
+@pytest.mark.parametrize("window", [(0, 1, 3, 9), (0, 1, 2, 3), (0, 1, 2, 4, 7)])
+def test_weyl_heisenberg_counts_are_the_design_tensor_at_d13(window):
+    # d = 13 over F_{5^4}: 13 | 25 + 1, so omega has order 13 and frob(omega) = omega^-1;
+    # (0, 1, 3, 9) is the Singer set, the other two windows are not difference sets.
+    # A Singer window is a design only when p | r - 1 = 2, so every verdict here is None.
+    ctx, d = build_field(5, 4), 13
+    omega = root_of_unity(ctx, d)
+    ens = FFEnsemble(ctx, _gabor_system(ctx, d, window, omega))  # no metadata
+    lifted = ffdesigns._lifted_vectors(ens)
+    t = kernels.matmul(lifted.transpose(1, 0, 2), fflinalg.frobenius_array(ctx, lifted),
+                       ctx.red, ctx.p)
+    member = np.zeros(d, dtype=bool)
+    member[list(window)] = True
+    i, j, i2, j2, shift = np.ogrid[:d, :d, :d, :d, :d]
+    quad = member[(i - shift) % d] & member[(j - shift) % d]
+    quad = quad & member[(i2 - shift) % d] & member[(j2 - shift) % d]
+    count = quad.sum(axis=-1)  # #{t : i-t, j-t, i'-t, j'-t in D}
+    same_sum = ((i + j - i2 - j2) % d == 0)[..., 0]
+    expected = np.zeros_like(t)
+    expected[..., 0] = (d * same_sum * count % ctx.p).reshape(d * d, d * d)
+    assert np.array_equal(t, expected)
+
+    c, c2 = ffdesigns._weyl_heisenberg(ctx, d, window, omega)
+    assert c == d * len(window) % ctx.p
+    psi = check_2design_psi(ens)
+    assert (c2 is None) == (psi is None)
+    assert c2 is None or ctx.scalar(c2) == psi
+    assert check_tight_frame(ens) == ctx.scalar(c)  # the frame operator and, at c = 0, a rank
+    assert tight_frame_route(ens) == "frame-operator"
+
+
+@pytest.mark.parametrize("prk", [(2, 6, 3), (2, 9, 7)])
+def test_rebuilt_gabor_tightness_runs_no_frame_operator_or_rank(monkeypatch, prk):
+    ens = gabor_ensemble(*prk)
+    frame_ops = _counting_in(monkeypatch, kernels, "frame_operator")
+    ranks = _counting(monkeypatch, "rank")
+    eliminations = _counting_in(monkeypatch, fflinalg, "row_echelon")
+    c = check_tight_frame(ens)
+    assert c is not None and c.is_zero()  # d |D| is 13 * 4 and 57 * 8, even
+    assert tight_frame_route(ens) == "weyl-heisenberg"
+    assert frame_ops == ranks == eliminations == []
+
+
+def _without_metadata(p, k, r):
+    ens = gabor_ensemble(p, k, r)
+    return FFEnsemble(ens.ctx, ens.data)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: _without_metadata(2, 6, 3), lambda: _without_metadata(2, 9, 7),
+              forged_gabor_d13],
+    ids=["d13 without metadata", "d57 without metadata", "forged d13"],
+)
+def test_ensembles_that_do_not_rebuild_keep_the_frame_operator(monkeypatch, build):
+    ens = build()
+    frame_ops = _counting_in(monkeypatch, kernels, "frame_operator")
+    c = check_tight_frame(ens)
+    assert c is not None and c.is_zero()
+    assert check_tight_frame(ens) == c
+    assert tight_frame_route(ens) == "frame-operator"
+    assert len(frame_ops) == 1
+
+
+def test_weyl_heisenberg_route_agrees_with_the_d73_certificate(monkeypatch):
+    ens = gabor_ensemble(7, 12, 8)
+    cert = certify_tight_2design(ens)
+    assert [v.to_int() for v in cert.design] == [2, 6, 6]
+    assert cert.method == "structural-gabor"
+    assert cert.cross_checks == [
+        "psi-route skipped: n d^4 = 151334226289 > 1000000000",
+        "weyl-heisenberg route agrees",
+    ]
+    assert tight_frame_route(ens) == "weyl-heisenberg"
+    assert check_tight_frame(ens).to_int() == 6
+
+    meta, ctx = ens.metadata, ens.ctx
+    assert ffdesigns._weyl_heisenberg(ctx, 73, meta["D"], meta["omega"]) == (6, 6)
+    for k in range(len(meta["D"])):  # one element of D moved to a non-member
+        moved = list(meta["D"])
+        moved[k] = next(x for x in range(73) if x not in meta["D"])
+        assert ffdesigns._weyl_heisenberg(ctx, 73, moved, meta["omega"]) == (6, None)
+
+    real = ffdesigns._weyl_heisenberg
+    monkeypatch.setattr(ffdesigns, "_weyl_heisenberg", lambda *a: (real(*a)[0], None))
+    with pytest.raises(DesignError, match="weyl-heisenberg route contradicts"):
+        certify_tight_2design(ens)
+
+    def unproved(*a):
+        raise PreconditionViolated("frob(omega) omega != 1")
+
+    monkeypatch.setattr(ffdesigns, "_weyl_heisenberg", unproved)
+    assert certify_tight_2design(ens).cross_checks[1:] == [
+        "weyl-heisenberg route skipped: frob(omega) omega != 1"
+    ]
+
+
+def test_weyl_heisenberg_preconditions():
+    ens = gabor_ensemble(2, 9, 7)  # d = 57 = 3 * 19
+    ctx, meta = ens.ctx, ens.metadata
+    omega = meta["omega"]
+    for bad in (ctx.one(), omega**3, omega**19):  # orders 1, 19 = d/3 and 3 = d/19
+        with pytest.raises(PreconditionViolated, match="order"):
+            ffdesigns._weyl_heisenberg(ctx, 57, meta["D"], bad)
+    # 13 | 27 - 1: in F_{3^6} an omega of order 13 is fixed by frob, not inverted
+    f729 = build_field(3, 6)
+    with pytest.raises(PreconditionViolated, match="frob"):
+        ffdesigns._weyl_heisenberg(f729, 13, (0, 1, 3, 9), root_of_unity(f729, 13))
+    with pytest.raises(PreconditionViolated, match="divides"):
+        ffdesigns._weyl_heisenberg(build_field(3, 2), 3, (0,), build_field(3, 2).one())
+    with pytest.raises(PreconditionViolated, match="empty"):
+        ffdesigns._weyl_heisenberg(ctx, 57, (), omega)
+
+
+@pytest.mark.parametrize("prk,power", [((2, 6, 3), 13), ((2, 9, 7), 3)], ids=["omega=1", "order 19"])
+def test_omega_of_the_wrong_order_falls_back_to_the_frame_operator(monkeypatch, prk, power):
+    # the construction itself uses the wrong omega, so the metadata still rebuilds the data
+    real = ffdesigns.root_of_unity
+    monkeypatch.setattr(ffdesigns, "root_of_unity", lambda ctx, n: real(ctx, n) ** power)
+    ens = gabor_ensemble(*prk)
+    assert ffdesigns._rebuilds_gabor(ens)
+    frame_ops = _counting_in(monkeypatch, kernels, "frame_operator")
+    assert check_tight_frame(ens) is None  # sum_s omega^(s m) no longer vanishes
+    assert tight_frame_route(ens) == "frame-operator"
+    assert len(frame_ops) == 1
+    res = verify_etf(ens)
+    assert res.method == "structural-gabor" and not res

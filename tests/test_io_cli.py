@@ -111,6 +111,15 @@ def test_complex_weighted_file_keeps_weights(tmp_path):
     assert np.allclose(loaded.weights, w)
 
 
+def test_complex_negative_zero_parts_round_trip(tmp_path):
+    ens = CEnsemble(np.array([[complex(1.0, -0.0), complex(-0.0, 0.0)],
+                              [complex(-0.0, -0.0), complex(0.0, -1.0)]]))
+    loaded, doc = _stable(tmp_path, ens, "signed-zeros")
+    assert doc["vectors"][0] == [[1.0, -0.0], [-0.0, 0.0]]
+    assert np.array_equal(np.signbit(loaded.vectors.real), [[False, True], [True, False]])
+    assert np.array_equal(np.signbit(loaded.vectors.imag), [[True, False], [True, True]])
+
+
 def test_quaternion_file_round_trip(tmp_path):
     ens = simplex_design_d2()
     loaded, doc = _stable(tmp_path, ens, "simplex")
@@ -589,19 +598,49 @@ def test_cli_rejects_forged_gabor_file(tmp_path, capsys):
     assert by_name["design"]["method"] == "parameter-conditions"
 
 
-def test_cli_swapped_omega_is_not_verified_structurally(tmp_path, capsys):
+def _swapped_omega_file(tmp_path, capsys):
+    """A d = 13 Gabor file whose omega is replaced by omega^2, also of order 13."""
     f = str(tmp_path / "g.json")
     _run(capsys, ["construct", "gabor", "--p", "2", "--k", "6", "--r", "3", "--out", f])
     doc = io.load_json(f)
     omega = io.ensemble_from_design_file(doc).metadata["omega"]
     doc["metadata"]["omega"] = {"element": (omega**2).coeffs.tolist()}
     io.save_json(f, doc)
+    return f
+
+
+def test_cli_swapped_omega_is_not_verified_structurally(tmp_path, capsys):
+    f = _swapped_omega_file(tmp_path, capsys)
     cert_path = str(tmp_path / "g.cert.json")
     code, _ = _run(capsys, ["verify", f, "--claims", "etf", "--cert", cert_path])
     assert code == 0
     (etf,) = io.load_json(cert_path)["claims"]
     assert etf["method"] == "full-gram"
     assert etf["values"] == {"a": 0, "b": 1, "c": 0}
+
+
+def test_cli_swapped_omega_never_reaches_the_weyl_heisenberg_route(tmp_path, capsys, monkeypatch):
+    f = _swapped_omega_file(tmp_path, capsys)
+    derived = []
+    monkeypatch.setattr(ffdesigns, "_weyl_heisenberg", lambda *a: derived.append(a))
+    cert_path = str(tmp_path / "g.cert.json")
+    code, _ = _run(capsys, ["verify", f, "--claims", "tight", "--cert", cert_path])
+    assert code == 0
+    (tight,) = io.load_json(cert_path)["claims"]
+    assert tight["method"] == "frame-operator"
+    assert tight["values"] == {"c": 0}
+    assert derived == []
+
+
+def test_cli_tight_claim_names_the_weyl_heisenberg_route(tmp_path, capsys):
+    f = str(tmp_path / "g.json")
+    _run(capsys, ["construct", "gabor", "--p", "2", "--k", "6", "--r", "3", "--out", f])
+    cert_path = str(tmp_path / "g.cert.json")
+    code, _ = _run(capsys, ["verify", f, "--claims", "tight", "--cert", cert_path])
+    assert code == 0
+    (tight,) = io.load_json(cert_path)["claims"]
+    assert tight["method"] == "weyl-heisenberg"
+    assert tight["values"] == {"c": 0}
 
 
 def test_cli_harmonic_construct_then_verify(tmp_path, capsys):
