@@ -14,7 +14,7 @@ symmetric subspace.  Two independent verification routes are provided (a
 dense tensor comparison and a blockwise map comparison) plus a parameter
 certificate route for ensembles far too large to verify directly.  A Gabor
 ensemble that its metadata rebuilds gets c and c2 from counts on its
-difference set instead (`_weyl_heisenberg`).
+difference set instead (`_weyl_heisenberg_c2`).
 
 An FFEnsemble's data and metadata are read-only, so a private memo can keep
 every fact the claims share for the ensemble's life: the tightness
@@ -277,15 +277,15 @@ def _rank_one_matrices(ens: FFEnsemble) -> np.ndarray:
 def check_tight_frame(ens: FFEnsemble) -> Optional[FieldElement]:
     """Return c with sum_k x_k x_k* = c I, or None if the ensemble is not tight.
 
-    When c = 0 tightness alone says nothing, so the spanning condition is
-    checked too; for c != 0 it is implied.  On an ensemble that its Gabor
-    metadata rebuilds exactly, c = d |D| and spanning are derived from the
-    difference set once `_weyl_heisenberg` has checked that omega has order
-    d, that frob(omega) omega = 1 and that p does not divide d (see
-    `tight_frame_route`).  Every other ensemble gets the exact frame
-    operator, and for c = 0 a rank, on a prefix of the vectors when one
-    suffices.  In dimension 0 every c fits, so none is reported.  The
-    answer is computed once per ensemble.
+    On an ensemble that its Gabor metadata rebuilds exactly, c = d |D| is
+    derived from the difference set once `_weyl_heisenberg_preconditions`
+    has checked that omega has order d and that frob(omega) omega = 1 (see
+    `tight_frame_route`).  Every other ensemble, and a rebuilt one whose
+    omega fails a check, gets the exact frame operator.  When c = 0
+    tightness alone says nothing, so on either route the spanning condition
+    is checked by a rank, on a prefix of the vectors when one suffices; for
+    c != 0 it is implied.  In dimension 0 every c fits, so none is
+    reported.  The answer is computed once per ensemble.
     """
     return _tight(ens)[0]
 
@@ -300,17 +300,24 @@ def _tight(ens: FFEnsemble) -> Tuple[Optional[FieldElement], str]:
 
 
 def _tight_constant(ens: FFEnsemble) -> Tuple[Optional[FieldElement], str]:
+    ctx, d = ens.ctx, ens.d
+    route = "frame-operator"
     if _rebuilds_gabor(ens):
         try:
-            c, _ = _weyl_heisenberg(ens.ctx, ens.d, ens.metadata["D"], ens.metadata["omega"])
+            _weyl_heisenberg_preconditions(d, ens.metadata["omega"])
         except PreconditionViolated:
             pass  # the identity is not proved for this omega: compute S
         else:
-            return ens.ctx.scalar(c), "weyl-heisenberg"
-    return _frame_operator_constant(ens), "frame-operator"
+            c, route = ctx.scalar(d * len(ens.metadata["D"])), "weyl-heisenberg"
+    if route == "frame-operator":
+        c = _frame_operator_constant(ens)
+    if c is not None and c.is_zero() and rank(ctx, ens.data, max_pivots=d) != d:
+        return None, route  # vectors do not span
+    return c, route
 
 
 def _frame_operator_constant(ens: FFEnsemble) -> Optional[FieldElement]:
+    """c with S = c I from the exact frame operator S, or None."""
     ctx, d = ens.ctx, ens.d
     if d == 0:
         return None
@@ -318,48 +325,43 @@ def _frame_operator_constant(ens: FFEnsemble) -> Optional[FieldElement]:
     c = FieldElement(ctx, s[0, 0])
     expected = np.zeros_like(s)
     expected[np.arange(d), np.arange(d)] = c.coeffs
-    if not np.array_equal(s, expected):
-        return None
-    if c.is_zero() and rank(ctx, ens.data, max_pivots=d) != d:
-        return None  # vectors do not span
-    return c
+    return c if np.array_equal(s, expected) else None
 
 
-def _weyl_heisenberg(
-    ctx: FieldCtx, d: int, elements: Sequence[int], omega: FieldElement
-) -> Tuple[int, Optional[int]]:
-    """(c, c2) of the Gabor system x_{s d + t}[i] = omega^(s i) 1_D(i - t), s, t mod d.
+def _weyl_heisenberg_preconditions(d: int, omega: FieldElement) -> None:
+    """Check what the counting identities on D need of omega.
 
-    c is the tightness constant and c2 the design constant T = c2 Pi (or
-    None), as integers mod p, derived from counts on D without forming
-    either tensor.  Summing over the modulations s leaves
-    sum_s omega^(s m) = d [m = 0], so S = d |D| I, and
-    T[(i,j),(i',j')] = d [i+j = i'+j'] count, where orbit reduction makes
-    the d x d array C[s', j] = #{u in D : s'+u, j+u, s'-j+u in D} decide
-    T = c2 Pi: d C[s', j] = (c2/2)(delta_{j,0} + delta_{j,s'}) mod p for odd p
-    (Weyl-Heisenberg covariance; Renes, Blume-Kohout, Scott and Caves
-    2004).  C[0, 0] = |D|, so c2 = c whenever it exists.
-
-    The sums need omega of order exactly d and frob(omega) = omega^-1, and
-    spanning needs p not dividing d: the d^2 operators M^s T^t then span
-    M_d(F), so any nonzero window spans F^d and c = 0 is a tight frame too.
-    PreconditionViolated is raised when one of these or D != {} fails.
+    They are about the Gabor system x_{s d + t}[i] = omega^(s i) 1_D(i - t),
+    s, t mod d.  Summing over the modulations s leaves
+    sum_s omega^(s m) = d [m = 0] when omega has order exactly d, and
+    x* conjugates omega^(s i) to omega^(-s i) when frob(omega) = omega^-1,
+    so S = d |D| I and T = sum_k (x_k (x) x_k)(x_k (x) x_k)* has entries
+    T[(i,j),(i',j')] = d [i+j = i'+j'] #{t : i-t, j-t, i'-t, j'-t in D}.
+    The order of omega divides q^2 - 1, so p never divides d once it holds.
+    PreconditionViolated names the check that fails.
     """
-    p, one = ctx.p, ctx.one()
-    support = np.zeros(d, dtype=bool)
-    support[np.asarray(elements, dtype=np.int64) % d] = True
-    window = np.flatnonzero(support)
-    if d % p == 0:
-        raise PreconditionViolated(f"p = {p} divides d = {d}")
-    if window.size == 0:
-        raise PreconditionViolated("empty window")
+    one = omega.ctx.one()
     if omega**d != one or any(omega ** (d // ell) == one for ell in factorize(d)):
         raise PreconditionViolated(f"omega does not have order d = {d}")
     if frobenius(omega) * omega != one:
         raise PreconditionViolated("frob(omega) omega != 1")
-    c = d * window.size % p
+
+
+def _weyl_heisenberg_c2(p: int, d: int, elements: Sequence[int]) -> Optional[int]:
+    """c2 with T = c2 Pi for the Gabor system on the window D, or None, mod odd p.
+
+    Valid once `_weyl_heisenberg_preconditions` holds.  Orbit reduction
+    makes the d x d array C[s', j] = #{u in D : s'+u, j+u, s'-j+u in D}
+    decide T = c2 Pi: d C[s', j] = (c2/2)(delta_{j,0} + delta_{j,s'}) mod p
+    (Weyl-Heisenberg covariance; Renes, Blume-Kohout, Scott and Caves
+    2004).  C[0, 0] = |D|, so c2 = c = d |D| whenever it exists.
+    """
     if p == 2:
-        return c, None  # c2/2 has no meaning
+        raise EvenCharacteristic("c2/2 needs odd characteristic")
+    support = np.zeros(d, dtype=bool)
+    support[np.asarray(elements, dtype=np.int64) % d] = True
+    window = np.flatnonzero(support)
+    c = d * window.size % p
     # each (u, a, b) in D^3 with a + b - u in D adds 1 to C[a + b - 2u, a - u]
     u, a, b = np.meshgrid(window, window, window, indexing="ij")
     hit = support[(a + b - u) % d]
@@ -368,7 +370,7 @@ def _weyl_heisenberg(
     s, j = np.ogrid[:d, :d]
     half = c * (p + 1) // 2 % p
     expected = half * ((j == 0).astype(np.int64) + (j == s)) % p
-    return c, (c if np.array_equal(d * counts % p, expected) else None)
+    return c if np.array_equal(d * counts % p, expected) else None
 
 
 # ---------------------------------------------------------------------------
@@ -614,10 +616,10 @@ def certify_tight_2design(ens: FFEnsemble) -> FFCertificate:
     `verify_etf`, the memoized verdict that the ETF claim reports too.
     Within budget the blockwise route re-verifies c2.  On an ensemble that
     its Gabor metadata rebuilds (the structural route), the Weyl-Heisenberg
-    count array on D re-verifies c2 in odd characteristic at any size, once
-    omega is checked to have order d with frob(omega) omega = 1 and p is
-    checked not to divide d; its tightness constant c1 comes from the same
-    checks (`check_tight_frame`).  A route that disagrees raises DesignError.
+    count array on D re-verifies c2 at any size, once omega is checked to
+    have order d with frob(omega) omega = 1; after the same checks its
+    tightness constant c1 = d |D| comes from D too (`check_tight_frame`).
+    A route that disagrees raises DesignError.
     """
     ctx = ens.ctx
     n, d = ens.n, ens.d
@@ -665,13 +667,14 @@ def certify_tight_2design(ens: FFEnsemble) -> FFCertificate:
         cert.cross_checks.append("psi-route agrees")
     if method == "structural-gabor":
         try:
-            _, wh_c2 = _weyl_heisenberg(ctx, d, ens.metadata["D"], ens.metadata["omega"])
+            _weyl_heisenberg_preconditions(d, ens.metadata["omega"])
         except PreconditionViolated as exc:
             cert.cross_checks.append(f"weyl-heisenberg route skipped: {exc}")
-            return cert
-        if wh_c2 is None or ctx.scalar(wh_c2) != c2:
-            raise DesignError("internal: weyl-heisenberg route contradicts certificate")
-        cert.cross_checks.append("weyl-heisenberg route agrees")
+        else:
+            wh_c2 = _weyl_heisenberg_c2(ctx.p, d, ens.metadata["D"])
+            if wh_c2 is None or ctx.scalar(wh_c2) != c2:
+                raise DesignError("internal: weyl-heisenberg route contradicts certificate")
+            cert.cross_checks.append("weyl-heisenberg route agrees")
     return cert
 
 
@@ -796,10 +799,10 @@ def structural_gabor_verify(ens: FFEnsemble) -> EtfCheck:
     (same field, D, alpha and omega, equal vectors; the rebuild is
     compared one block of d vectors at a time and never built whole),
     else MetadataMissing is raised.  On that rebuild `check_tight_frame`
-    derives tightness, c = d |D|, and spanning from the difference set
-    once omega is checked to have order d with frob(omega) omega = 1 and p
-    is checked not to divide d; if a check fails, it falls back to the
-    exact frame operator.
+    derives tightness, c = d |D|, from the difference set once omega is
+    checked to have order d with frob(omega) omega = 1; if a check fails,
+    it falls back to the exact frame operator.  Spanning at c = 0 is
+    checked by a rank on either route.
     """
     if ens.metadata.get("kind") != "gabor":
         raise MetadataMissing("structural verification needs Gabor metadata")

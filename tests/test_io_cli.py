@@ -622,7 +622,7 @@ def test_cli_swapped_omega_is_not_verified_structurally(tmp_path, capsys):
 def test_cli_swapped_omega_never_reaches_the_weyl_heisenberg_route(tmp_path, capsys, monkeypatch):
     f = _swapped_omega_file(tmp_path, capsys)
     derived = []
-    monkeypatch.setattr(ffdesigns, "_weyl_heisenberg", lambda *a: derived.append(a))
+    monkeypatch.setattr(ffdesigns, "_weyl_heisenberg_preconditions", lambda *a: derived.append(a))
     cert_path = str(tmp_path / "g.cert.json")
     code, _ = _run(capsys, ["verify", f, "--claims", "tight", "--cert", cert_path])
     assert code == 0
