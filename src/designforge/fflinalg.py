@@ -97,12 +97,6 @@ class FFMatrix:
     def zeros(cls, ctx: FieldCtx, rows: int, cols: int) -> "FFMatrix":
         return cls(ctx, np.zeros((rows, cols, ctx.deg), dtype=np.int64))
 
-    @classmethod
-    def identity(cls, ctx: FieldCtx, n: int) -> "FFMatrix":
-        data = np.zeros((n, n, ctx.deg), dtype=np.int64)
-        data[np.arange(n), np.arange(n), 0] = 1
-        return cls(ctx, data)
-
     def _check(self, other):
         if self.ctx is not other.ctx:
             raise ContextMismatch("matrices belong to different field contexts")
@@ -114,9 +108,6 @@ class FFMatrix:
     def __sub__(self, other):
         self._check(other)
         return FFMatrix(self.ctx, (self.data - other.data) % self.ctx.p)
-
-    def __neg__(self):
-        return FFMatrix(self.ctx, (-self.data) % self.ctx.p)
 
     def __matmul__(self, other):
         self._check(other)
@@ -131,12 +122,6 @@ class FFMatrix:
             and self.ctx is other.ctx
             and np.array_equal(self.data, other.data)
         )
-
-    def scale(self, s: FieldElement) -> "FFMatrix":
-        if s.ctx is not self.ctx:
-            raise ContextMismatch("scalar from a different field context")
-        out = kernels.mul_batch(self.data, s.coeffs, self.ctx.red, self.ctx.p)
-        return FFMatrix(self.ctx, out)
 
     def entry(self, i: int, j: int) -> FieldElement:
         return FieldElement(self.ctx, self.data[i, j])

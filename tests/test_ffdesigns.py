@@ -422,6 +422,16 @@ def test_param_search_rows_satisfy_divisibility():
         assert row.design == (row.p > 3)
 
 
+def test_weyl_heisenberg_count_agrees_with_the_design_flag_of_the_search():
+    # every odd-p row up to d = 2257; d = 3541 needs about 0.4 GB for its count array
+    rows = [row for row in param_search(30, 600, 71) if row.p % 2 and row.d <= 2257]
+    assert [(row.d, row.p) for row in rows] == [(73, 7), (1723, 5), (2257, 23)]
+    for row in rows:
+        c2 = ffdesigns._weyl_heisenberg_c2(row.p, row.d, singer_difference_set(row.r).elements)
+        assert row.design and c2 is not None
+    assert ffdesigns._weyl_heisenberg_c2(7, 73, singer_difference_set(8).elements) == 6
+
+
 # ---------------------------------------------------------------------------
 # route choice and forged metadata
 # ---------------------------------------------------------------------------
@@ -736,14 +746,6 @@ def test_weyl_heisenberg_route_agrees_with_the_d73_certificate(monkeypatch):
     with pytest.raises(DesignError, match="weyl-heisenberg route contradicts"):
         certify_tight_2design(ens)
 
-    def unproved(*a):
-        raise PreconditionViolated("frob(omega) omega != 1")
-
-    monkeypatch.setattr(ffdesigns, "_weyl_heisenberg_preconditions", unproved)
-    assert certify_tight_2design(ens).cross_checks[1:] == [
-        "weyl-heisenberg route skipped: frob(omega) omega != 1"
-    ]
-
 
 def test_weyl_heisenberg_preconditions():
     ens = gabor_ensemble(2, 9, 7)  # d = 57 = 3 * 19
@@ -763,15 +765,17 @@ def test_weyl_heisenberg_preconditions():
 
 
 @pytest.mark.parametrize("prk,power", [((2, 6, 3), 13), ((2, 9, 7), 3)], ids=["omega=1", "order 19"])
-def test_omega_of_the_wrong_order_falls_back_to_the_frame_operator(monkeypatch, prk, power):
-    # the construction itself uses the wrong omega, so the metadata still rebuilds the data
+def test_omega_of_the_wrong_order_is_refused_and_never_rebuilds(monkeypatch, prk, power):
+    ens = gabor_ensemble(*prk)
     real = ffdesigns.root_of_unity
     monkeypatch.setattr(ffdesigns, "root_of_unity", lambda ctx, n: real(ctx, n) ** power)
-    ens = gabor_ensemble(*prk)
-    assert ffdesigns._rebuilds_gabor(ens)
+    with pytest.raises(PreconditionViolated, match="order"):
+        gabor_ensemble(*prk)
+    assert not ffdesigns._rebuilds_gabor(ens)  # its rebuild is refused the same way
     frame_ops = _counting_in(monkeypatch, kernels, "frame_operator")
-    assert check_tight_frame(ens) is None  # sum_s omega^(s m) no longer vanishes
+    c = check_tight_frame(ens)
+    assert c is not None and c.is_zero()
     assert tight_frame_route(ens) == "frame-operator"
     assert len(frame_ops) == 1
-    res = verify_etf(ens)
-    assert res.method == "structural-gabor" and not res
+    if ens.d == 13:  # the full Gram at d = 57 would form 5.3 million pair products
+        assert verify_etf(ens).method == "full-gram"
