@@ -8,13 +8,15 @@ happen inside the handlers, so a command loads only the modules it uses.
 name and the function that returns its certificate entry.  Every requested
 name is checked against the loaded file before any claim runs.  Facts that
 claims share, such as the ETF verdict behind `etf` and `design`, are
-memoized on the ensemble.
+memoized on the ensemble.  `construct` runs from `_CONSTRUCT` the same way:
+per kind, the arguments it requires and its builder.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import sys
 import time
 from typing import List, Optional
@@ -30,44 +32,36 @@ EXIT_BUDGET = 3
 # ---------------------------------------------------------------------------
 
 
+def _engine(name: str):
+    """An engine module, imported when a builder first runs."""
+    return importlib.import_module(f"{__package__}.{name}")
+
+
+# construct kind -> (its required arguments, the setting written, builder from the arguments)
+_CONSTRUCT = {
+    "gabor": ("p k r", "finite", lambda a: _engine("ffdesigns").gabor_ensemble(a.p, a.k, a.r)),
+    "singer": ("r", None, lambda a: _engine("ffdesigns").singer_difference_set(a.r)),
+    "harmonic": ("p k r", "finite", lambda a: _engine("ffdesigns").harmonic_etf(
+        _engine("ffcore").build_field(a.p, 2 * a.k), _engine("ffdesigns").singer_difference_set(a.r))),
+    "mub": ("d", "complex", lambda a: _engine("cdesigns").mub_ensemble(a.d)),
+    "sic": ("d", "complex", lambda a: _engine("cdesigns").sic_catalog(a.d)),
+    "q-simplex": ("", "quaternion", lambda a: _engine("qdesigns").simplex_design_d2()),
+}
+
+
 def cmd_construct(args) -> int:
     from . import io
 
-    kind = args.kind
-    if kind == "gabor":
-        from .ffdesigns import gabor_ensemble
-
-        ens = gabor_ensemble(args.p, args.k, args.r)
-    elif kind == "singer":
-        from .ffdesigns import singer_difference_set
-
-        ens = singer_difference_set(args.r)
-    elif kind == "harmonic":
-        from .ffcore import build_field
-        from .ffdesigns import harmonic_etf, singer_difference_set
-
-        ctx = build_field(args.p, 2 * args.k)
-        ens = harmonic_etf(ctx, singer_difference_set(args.r))
-    elif kind == "mub":
-        from .cdesigns import mub_ensemble
-
-        ens = mub_ensemble(args.d)
-    elif kind == "sic":
-        from .cdesigns import sic_catalog
-
-        ens = sic_catalog(args.d)
-    elif kind == "q-simplex":
-        from .qdesigns import simplex_design_d2
-
-        ens = simplex_design_d2()
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(kind)
+    required, setting, build = _CONSTRUCT[args.kind]
+    missing = [f"--{name}" for name in required.split() if getattr(args, name) is None]
+    if missing:
+        raise UsageError(f"construct {args.kind} requires {' '.join(missing)}")
+    ens = build(args)
     io.save_design(args.out, ens)
-    if kind == "singer":
+    if setting is None:
         print(f"wrote {args.out}: difference set mod {ens.modulus}, "
               f"{len(ens.elements)} elements, lambda = {ens.lam}")
     else:
-        setting = {"mub": "complex", "sic": "complex", "q-simplex": "quaternion"}.get(kind, "finite")
         print(f"wrote {args.out}: {setting} ensemble, n = {ens.n}, d = {ens.d}")
     return EXIT_OK
 
@@ -340,6 +334,8 @@ def cmd_optimize(args) -> int:
     from . import io
     from .qdesigns import optimize_design
 
+    if args.seeds < 1:
+        raise UsageError("--seeds must be >= 1")
     best = None
     rows = []
     for seed in range(args.seeds):
@@ -423,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a catalog design and write it to a file")
-    c.add_argument("kind", choices=["gabor", "singer", "harmonic", "mub", "sic", "q-simplex"])
+    c.add_argument("kind", choices=list(_CONSTRUCT))
     c.add_argument("--p", type=int, help="field characteristic (gabor, harmonic)")
     c.add_argument("--k", type=int, help="base extension degree (gabor, harmonic)")
     c.add_argument("--r", type=int, help="difference-set order (gabor, singer, harmonic)")

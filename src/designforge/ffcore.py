@@ -5,6 +5,12 @@ irreducible polynomial of degree k in ascending base-p integer order of its
 coefficient vector (constant term least significant).  Elements are length-k
 coefficient vectors of residues mod p, constant term first.
 
+Reduction mod f goes through one matrix, `red`, whose row j is x^(k+j) mod
+f: a product's high coefficients fold back through it (`_mulmod`, and every
+kernel).  Division appears only in Euclid (`_poly_euclid`), which gives
+inverses and the gcd of the irreducibility test, and powers are one
+square-and-multiply (`_power`).
+
 Quadratic towers are handled by building F_{q^2} = F_{p^(2k)} as a single
 degree-2k extension of F_p; the subfield F_q is the fixed field of the
 q-power map, which is F_p-linear and applied through a precomputed matrix.
@@ -76,79 +82,85 @@ def _poly_trim(a: np.ndarray) -> np.ndarray:
     return a[: nz[-1] + 1]
 
 
-def _poly_mod(a: np.ndarray, f: np.ndarray, p: int) -> np.ndarray:
-    """Remainder of a modulo the monic polynomial f, coefficients mod p."""
-    a = a.astype(np.int64) % p
-    deg_f = len(f) - 1
-    a = _poly_trim(a)
-    while len(a) - 1 >= deg_f:
-        shift = len(a) - 1 - deg_f
-        lead = a[-1]
-        if lead:
-            a[shift : shift + deg_f + 1] = (a[shift : shift + deg_f + 1] - lead * f) % p
-        a = _poly_trim(a[:-1])
-    out = np.zeros(deg_f, dtype=np.int64)
-    out[: len(a)] = a
-    return out
-
-
-def _poly_mulmod(a: np.ndarray, b: np.ndarray, f: np.ndarray, p: int) -> np.ndarray:
-    return _poly_mod(np.convolve(a, b), f, p)
-
-
-def _poly_gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    a = _poly_trim(a % p)
+def _poly_divmod(a: np.ndarray, b: np.ndarray, p: int):
+    """(q, r) with a = q*b + r and deg r < deg b over F_p; b must be nonzero."""
     b = _poly_trim(b % p)
-    while np.any(b):
-        inv_lead = pow(int(b[-1]), p - 2, p)
-        bb = (b * inv_lead) % p
-        r = a.copy()
-        while len(r) >= len(bb) and np.any(r):
-            shift = len(r) - len(bb)
-            lead = r[-1]
-            if lead:
-                r[shift:] = (r[shift:] - lead * bb) % p
-            r = _poly_trim(r[:-1]) if not r[-1] else _poly_trim(r)
-        a, b = bb, _poly_trim(r)
-    return a
+    r = _poly_trim(a % p)
+    q = np.zeros(max(len(r) - len(b) + 1, 1), dtype=np.int64)
+    inv_lead = pow(int(b[-1]), p - 2, p)
+    while len(r) >= len(b) and np.any(r):
+        shift = len(r) - len(b)
+        q[shift] = r[-1] * inv_lead % p
+        r[shift:] = (r[shift:] - q[shift] * b) % p
+        r = _poly_trim(r)
+    return q, r
 
 
-def _frobenius_matrix(f: np.ndarray, p: int) -> np.ndarray:
-    """Matrix of e -> e^p on F_p[x]/(f) in the coefficient basis (columns)."""
+def _poly_euclid(a: np.ndarray, f: np.ndarray, p: int):
+    """(g, s): g a gcd of a and f, and s*a = g mod f with deg s < deg f."""
+    r0, r1 = _poly_trim(a % p), _poly_trim(f % p)
+    s0 = np.array([1], dtype=np.int64)
+    s1 = np.array([0], dtype=np.int64)
+    while np.any(r1):
+        q, r = _poly_divmod(r0, r1, p)
+        conv = np.convolve(q, s1) % p
+        new_s = np.zeros(max(len(s0), len(conv)), dtype=np.int64)
+        new_s[: len(s0)] += s0
+        new_s[: len(conv)] -= conv
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_trim(new_s % p)
+    return r0, s0
+
+
+def _reduction_matrix(f: np.ndarray, p: int) -> np.ndarray:
+    """Rows x^(k+j) mod the monic f of degree k, for j < k - 1.
+
+    Row 0 is x^k = -(f - x^k); row j is x times row j - 1, a shift whose
+    carried-out top coefficient folds back in through row 0.
+    """
     k = len(f) - 1
-    cols = np.zeros((k, k), dtype=np.int64)
-    if k == 1:
-        cols[0, 0] = 1
-        return cols
-    # x^p mod f by square-and-multiply, then x^(i*p) = (x^p)^i
-    xp = np.zeros(k, dtype=np.int64)
-    xp[0] = 1
-    base = np.zeros(k, dtype=np.int64)
-    base[1] = 1
-    e = p
-    while e:
-        if e & 1:
-            xp = _poly_mulmod(xp, base, f, p)
-        base = _poly_mulmod(base, base, f, p)
-        e >>= 1
-    cur = np.zeros(k, dtype=np.int64)
-    cur[0] = 1
-    cols[:, 0] = cur
-    for i in range(1, k):
-        cur = _poly_mulmod(cur, xp, f, p)
-        cols[:, i] = cur
-    return cols
+    red = np.zeros((max(k - 1, 0), k), dtype=np.int64)
+    red[:1] = -f[:k] % p
+    for j in range(1, k - 1):
+        red[j, 1:] = red[j - 1, :-1]
+        red[j] = (red[j] + red[j - 1, -1] * red[0]) % p
+    return red
 
 
-def _mat_pow_mod(m: np.ndarray, e: int, p: int) -> np.ndarray:
-    result = np.eye(m.shape[0], dtype=np.int64)
-    base = m % p
+def _mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: int) -> np.ndarray:
+    """a*b in F_p[x]/(f) with red = _reduction_matrix(f, p), before the final mod p."""
+    k = red.shape[1]
+    # x^(k+j) mod f is red[j]; each sum is at most (k-1)(p-1)^2 + p, inside int64
+    conv = np.convolve(a, b) % p
+    return conv[:k] + conv[k:] @ red
+
+
+def _power(base, e: int, one, mul):
+    """base^e for e >= 0 by square-and-multiply, with mul as the product."""
+    result = one
     while e:
         if e & 1:
-            result = (result @ base) % p
-        base = (base @ base) % p
+            result = mul(result, base)
+        base = mul(base, base)
         e >>= 1
     return result
+
+
+def _frobenius_matrix(red: np.ndarray, p: int) -> np.ndarray:
+    """Matrix of e -> e^p on F_p[x]/(f) in the coefficient basis (columns)."""
+    k = red.shape[1]
+    cols = np.eye(k, dtype=np.int64)
+    if k == 1:
+        return cols
+
+    def mul(a, b):
+        return _mulmod(a, b, red, p) % p
+
+    # column i is x^(i*p) = (x^p)^i
+    xp = _power(cols[1], p, cols[0], mul)
+    for i in range(1, k):
+        cols[:, i] = mul(cols[:, i - 1], xp)
+    return cols
 
 
 def _is_irreducible(f: np.ndarray, p: int) -> bool:
@@ -156,20 +168,17 @@ def _is_irreducible(f: np.ndarray, p: int) -> bool:
     k = len(f) - 1
     if k == 1:
         return True
-    mp = _frobenius_matrix(f, p)
-    x_vec = np.zeros(k, dtype=np.int64)
-    x_vec[1] = 1
-    top = _mat_pow_mod(mp, k, p) @ x_vec % p
-    if not np.array_equal(top, x_vec):
+    mp = _frobenius_matrix(_reduction_matrix(f, p), p)
+    x = np.zeros(k, dtype=np.int64)
+    x[1] = 1
+    xs = [x]  # xs[j] = x^(p^j) mod f
+    for _ in range(k):
+        xs.append(mp @ xs[-1] % p)
+    if not np.array_equal(xs[k], x):
         return False
-    for ell in sorted(factorize(k)):
-        m = k // ell
-        v = _mat_pow_mod(mp, m, p) @ x_vec % p
-        diff = (v - x_vec) % p
-        if not np.any(diff):
-            return False
-        g = _poly_gcd(diff.copy(), f.copy(), p)
-        if len(_poly_trim(g)) != 1:
+    for ell in factorize(k):
+        diff = (xs[k // ell] - x) % p
+        if not np.any(diff) or len(_poly_euclid(diff, f, p)[0]) != 1:
             return False
     return True
 
@@ -302,44 +311,17 @@ class FieldElement:
 
     def __mul__(self, other):
         self._check(other)
-        ctx = self.ctx
-        # x^(K+j) mod f is red[j]; each sum is at most (K-1)(p-1)^2 + p, inside int64
-        conv = np.convolve(self.coeffs, other.coeffs) % ctx.p
-        return FieldElement(ctx, conv[: ctx.deg] + conv[ctx.deg :] @ ctx.red)
+        return FieldElement(self.ctx, _mulmod(self.coeffs, other.coeffs, self.ctx.red, self.ctx.p))
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroInverse("zero has no multiplicative inverse")
-        # extended Euclid on (self, modulus) over F_p
-        p = self.ctx.p
-        f = self.ctx.modulus
-        r0, r1 = _poly_trim(self.coeffs.copy()), f.copy()
-        s0 = np.array([1], dtype=np.int64)
-        s1 = np.array([0], dtype=np.int64)
-        while np.any(r1):
-            # divide r0 by r1
-            q = np.zeros(max(len(r0) - len(r1) + 1, 1), dtype=np.int64)
-            r = r0.copy()
-            inv_lead = pow(int(r1[-1]), p - 2, p)
-            while len(r) >= len(r1) and np.any(r):
-                shift = len(r) - len(r1)
-                coef = (r[-1] * inv_lead) % p
-                q[shift] = coef
-                r[shift:] = (r[shift:] - coef * r1) % p
-                r = _poly_trim(r)
-                if not np.any(r):
-                    break
-            conv = np.convolve(q, s1) % p
-            ln = max(len(s0), len(conv))
-            new_s = np.zeros(ln, dtype=np.int64)
-            new_s[: len(s0)] += s0
-            new_s[: len(conv)] -= conv
-            new_s %= p
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_trim(new_s)
-        # r0 is gcd (a nonzero constant since self != 0 and f irreducible)
-        c_inv = pow(int(r0[0]), p - 2, p)
-        return FieldElement(self.ctx, _poly_mod(s0 * c_inv, f, p))
+        # s*self = g mod f, where g is a nonzero constant since f is irreducible
+        ctx = self.ctx
+        g, s = _poly_euclid(self.coeffs, ctx.modulus, ctx.p)
+        out = np.zeros(ctx.deg, dtype=np.int64)
+        out[: len(s)] = s * pow(int(g[0]), ctx.p - 2, ctx.p)
+        return FieldElement(ctx, out)
 
     def __truediv__(self, other):
         self._check(other)
@@ -350,14 +332,7 @@ class FieldElement:
             raise TypeError("exponent must be an int")
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, self.ctx.one(), FieldElement.__mul__)
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
@@ -390,7 +365,6 @@ class FieldCtx:
         "modulus",
         "red",
         "order",
-        "_frob_p",
         "_frob_pow_cache",
         "_order_factors",
         "_primitive",
@@ -403,17 +377,9 @@ class FieldCtx:
         modulus.flags.writeable = False
         self.modulus = modulus
         self.order = p**deg
-        red = np.zeros((max(deg - 1, 0), deg), dtype=np.int64)
-        cur = np.zeros(deg, dtype=np.int64)
-        x = np.array([0, 1], dtype=np.int64)
-        # x^deg mod f, then successively higher powers
-        cur[-1] = 1  # x^(deg-1)
-        for j in range(deg - 1):
-            cur = _poly_mod(np.convolve(cur, x), modulus, p)
-            red[j] = cur
+        red = _reduction_matrix(modulus, p)
         red.flags.writeable = False
         self.red = red
-        self._frob_p = None
         self._frob_pow_cache = {}
         self._order_factors = None
         self._primitive = None
@@ -453,21 +419,13 @@ class FieldCtx:
 
     # -- Frobenius machinery -------------------------------------------------
 
-    def frob_p_matrix(self) -> np.ndarray:
-        if self._frob_p is None:
-            if self.deg == 1:
-                m = np.eye(1, dtype=np.int64)
-            else:
-                m = _frobenius_matrix(self.modulus, self.p)
-            m.flags.writeable = False
-            self._frob_p = m
-        return self._frob_p
-
     def frob_power_matrix(self, m: int) -> np.ndarray:
         """Matrix of e -> e^(p^m) in the coefficient basis."""
         m = m % self.deg
         if m not in self._frob_pow_cache:
-            mat = _mat_pow_mod(self.frob_p_matrix(), m, self.p)
+            eye = np.eye(self.deg, dtype=np.int64)
+            frob = _frobenius_matrix(self.red, self.p)
+            mat = _power(frob, m, eye, lambda a, b: a @ b % self.p)
             mat.flags.writeable = False
             self._frob_pow_cache[m] = mat
         return self._frob_pow_cache[m]

@@ -208,7 +208,12 @@ def ensemble_from_design_file(doc: dict) -> Ensemble:
         raise SchemaError(f"unsupported format {doc['format']!r}")
     setting = _require(doc, "setting")
     if setting == "difference-set":
-        return DifferenceSet.create(_require(doc, "modulus"), _require(doc, "elements"))
+        modulus, elements = _require(doc, "modulus"), _require(doc, "elements")
+        if type(elements) is not list or any(type(v) is not int for v in [modulus, *elements]):
+            raise SchemaError("a difference set needs an int modulus and a list of int elements")
+        if modulus < 1:
+            raise SchemaError(f"difference-set modulus must be positive, got {modulus}")
+        return DifferenceSet.create(modulus, elements)
     d = _require(doc, "d")
     n = _require(doc, "n")
     vectors = np.asarray(_require(doc, "vectors"))
@@ -243,8 +248,10 @@ def _finite_ensemble(doc: dict, vectors: np.ndarray, parsed: bool = False) -> FF
     """
     d, n = doc["d"], doc["n"]
     fld = _require(doc, "field")
-    ctx = build_field(int(fld["p"]), int(fld["k"]))
-    if "modulus" in fld and list(ctx.modulus) != [int(c) for c in fld["modulus"]]:
+    if type(fld) is not dict or not all(type(fld.get(key)) is int for key in ("p", "k")):
+        raise SchemaError("field must be an object with int p and k")
+    ctx = build_field(fld["p"], fld["k"])
+    if "modulus" in fld and fld["modulus"] != ctx.modulus.tolist():
         raise SchemaError("field modulus does not match the deterministic one")
     shape = (n, d, ctx.deg)
     # `[]` and `[[], ...]` parse as float arrays cut at their first empty axis
@@ -258,6 +265,8 @@ def _finite_ensemble(doc: dict, vectors: np.ndarray, parsed: bool = False) -> FF
     ):
         raise SchemaError("finite coefficients must be reduced integers in [0, p)")
     metadata = _decode_value(doc.get("metadata", {}), ctx)
+    if type(metadata) is not dict:
+        raise SchemaError("metadata must be an object")
     if parsed:
         return FFEnsemble._adopt(ctx, vectors, metadata)
     return FFEnsemble(ctx, vectors, metadata)

@@ -489,8 +489,8 @@ def optimize_design(
     retraction; the recorded trace is monotone.  Failure to reach the
     bound is reported through `converged`/`gap`, never raised.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if d < 1 or n < 1:
+        raise ValueError("d and n must be >= 1")
     rng = np.random.default_rng(seed)
     x = _renormalize(rng.standard_normal((n, d, 4)))
     bound = design_targets(d)[1]

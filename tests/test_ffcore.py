@@ -245,6 +245,21 @@ def test_root_sieve_keeps_the_enumeration_order(p, k):
     assert build_field(p, k).modulus.tolist() == _first_irreducible_plain(p, k)
 
 
+@pytest.mark.parametrize(
+    "p,k,modulus",
+    [
+        (7, 24, [4, 3, 1] + [0] * 21 + [1]),
+        (2, 18, [1, 0, 0, 1] + [0] * 14 + [1]),
+        (2, 12, [1, 0, 0, 1] + [0] * 8 + [1]),
+        (5, 4, [2, 0, 0, 0, 1]),
+    ],
+)
+def test_recorded_moduli(p, k, modulus):
+    # recorded values: the sieve test above compares build_field with
+    # _is_irreducible, so a fault in both would pass it
+    assert build_field(p, k).modulus.tolist() == modulus
+
+
 def test_cubic_extension_of_a_prime_two_mod_three():
     p = 65519
     assert p % 3 == 2

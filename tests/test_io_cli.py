@@ -470,6 +470,13 @@ def test_written_gabor_file_in_windows_smaller_than_a_vector(tmp_path):
         assert _written_as_canonical_dumps(str(tmp_path / "small.json"), ens) == whole
 
 
+def test_written_gabor_file_has_its_recorded_sha256(tmp_path):
+    # the bytes depend on the modulus, the primitive element, omega and the window
+    f = str(tmp_path / "g13.json")
+    io.save_design(f, gabor_ensemble(2, 6, 3))
+    assert io.sha256_of_file(f) == "adb2a717a448650c952df7a0f2f22129c88722633f21149662a05d81906b489e"
+
+
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
@@ -723,6 +730,35 @@ def test_cli_malformed_json_exits_2(tmp_path, capsys):
     assert cli.main(["verify", f, "--claims", "etf"]) == 2
 
 
+_DIFFERENCE_SET_DOC = {"format": 1, "setting": "difference-set", "modulus": 7, "elements": [1, 2, 4]}
+
+
+@pytest.mark.parametrize(
+    "setting,edit",
+    [
+        ("difference-set", {"modulus": 0}),
+        ("difference-set", {"modulus": -7}),
+        ("difference-set", {"modulus": "7"}),
+        ("difference-set", {"elements": [1, 2.0, 4]}),
+        ("difference-set", {"elements": 5}),
+        ("finite", {"field": {"k": 2, "modulus": [1, 0, 1]}}),
+        ("finite", {"field": [3, 2, [1, 0, 1]]}),
+        ("finite", {"field": {"p": 3, "k": 2, "modulus": 5}}),
+        ("finite", {"field": {"p": 3.7, "k": 2}}),
+        ("finite", {"metadata": [1, 2]}),
+    ],
+)
+def test_cli_malformed_design_file_exits_2(tmp_path, capsys, f9, setting, edit):
+    base = _DIFFERENCE_SET_DOC if setting == "difference-set" else io.design_file_from_ensemble(f9)
+    doc = {**base, **edit}
+    with pytest.raises(io.SchemaError):
+        io.ensemble_from_design_file(doc)
+    f = str(tmp_path / "bad.json")
+    io.save_json(f, doc)  # canonical, so a finite file also goes through the fast reader
+    claim = "difference-set" if setting == "difference-set" else "etf"
+    assert cli.main(["verify", f, "--claims", claim]) == 2
+
+
 def test_cli_empty_claims_exits_2(tmp_path, capsys, f9):
     f = str(tmp_path / "f9.json")
     io.save_design(f, f9)
@@ -772,6 +808,22 @@ def test_cli_invalid_construction_exits_2(tmp_path, capsys):
     f = str(tmp_path / "x.json")
     assert cli.main(["construct", "gabor", "--p", "3", "--k", "2", "--r", "3", "--out", f]) == 2
     assert cli.main(["construct", "sic", "--d", "4", "--out", f]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "gabor", "--p", "2", "--k", "6"],
+        ["construct", "mub"],
+        ["optimize", "--d", "2", "--n", "6", "--seeds", "0"],
+        ["optimize", "--d", "0", "--n", "6"],
+    ],
+)
+def test_cli_usage_errors_exit_2(tmp_path, capsys, argv):
+    f = str(tmp_path / "x.json")
+    assert cli.main(argv + ["--out", f]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(f)
 
 
 def test_cli_unknown_subcommand_exits_via_argparse(capsys):

@@ -41,12 +41,34 @@ PROPERTY = settings(max_examples=25, deadline=None)
 @PROPERTY
 @given(st.sampled_from(PROPERTY_FIELDS + [(7, 24), (3, 64)]), seeds)
 def test_scalar_product_property(field, seed):
-    # FieldElement.__mul__ folds through ctx.red; _poly_mod divides by the modulus
+    # FieldElement.__mul__ folds through ctx.red; the reference divides by the modulus
     ctx = build_field(*field)
     rng = np.random.default_rng(seed)
     for a, b in _rand_elems(rng, ctx, (20, 2)):
-        want = ffcore._poly_mod(np.convolve(a, b), ctx.modulus, ctx.p)
+        rem = ffcore._poly_divmod(np.convolve(a, b), ctx.modulus, ctx.p)[1]
+        want = np.pad(rem, (0, ctx.deg - len(rem)))
         assert np.array_equal((_as_elem(ctx, a) * _as_elem(ctx, b)).coeffs, want)
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3, 13, P_TOP]), st.integers(0, 12), st.integers(0, 6), seeds)
+def test_poly_divmod_property(p, deg_a, deg_b, seed):
+    # a = q*b + r with deg r < deg b, for any nonzero b, monic or not
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, deg_a + 1)
+    b = rng.integers(0, p, deg_b + 1)
+    b[-1] = rng.integers(1, p)
+    q, r = ffcore._poly_divmod(a, b, p)
+    if deg_b == 0:
+        assert not np.any(r)
+    else:
+        assert len(r) <= deg_b  # r is trimmed, so this is deg r < deg b
+    qb = np.convolve(q, b)
+    total = np.zeros(max(len(qb), len(r), len(a)), dtype=np.int64)
+    total[: len(qb)] += qb
+    total[: len(r)] += r
+    total[: len(a)] -= a
+    assert not np.any(total % p)
 
 
 # leading shapes of mul_batch's two operands; "n" and "m" are drawn sizes

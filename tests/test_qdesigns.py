@@ -456,8 +456,9 @@ def test_optimizer_degenerate_cases():
     assert res.potential == pytest.approx(1.0)
     assert res.gap == pytest.approx(0.0, abs=1e-12)
     assert res.converged
-    with pytest.raises(ValueError):
-        optimize_design(2, 0)
+    for d, n in ((2, 0), (0, 6)):
+        with pytest.raises(ValueError):
+            optimize_design(d, n)
     # a run stopped by the iteration cap stays above the bound and says so
     res = optimize_design(4, 28, seed=0, iters=400)
     assert res.iterations <= 400
