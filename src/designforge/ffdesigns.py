@@ -59,6 +59,7 @@ from .fflinalg import (
 
 NAIVE_MULTIPLY_BUDGET = 10**8
 PSI_MULTIPLY_BUDGET = 10**9
+_PAIR_CHUNK = 4096  # pairs whose products and (q+1)-powers are formed at once
 
 
 class DesignError(Exception):
@@ -115,7 +116,18 @@ class DifferenceSet:
 
 
 def verify_difference_set(modulus: int, elements: Sequence[int]) -> int:
-    """Exhaustively count pairwise differences; return the common count."""
+    """Exhaustively count pairwise differences; return the common count.
+
+    The m(m - 1) differences cover each of the modulus - 1 nonzero residues
+    lam >= 1 times, so a larger modulus is rejected before counting, and
+    the count list never outgrows the element pairs.
+    """
+    m = len(elements)
+    if modulus - 1 > m * (m - 1):
+        raise InvalidDifferenceSet(
+            f"{m} elements have {m * (m - 1)} differences, fewer than the "
+            f"{modulus - 1} nonzero residues mod {modulus}"
+        )
     counts = [0] * modulus
     for x in elements:
         for y in elements:
@@ -131,7 +143,6 @@ def verify_difference_set(modulus: int, elements: Sequence[int]) -> int:
         raise InvalidDifferenceSet(
             f"difference counts not uniform: min {min(nonzero)}, max {max(nonzero)}"
         )
-    m = len(elements)
     if lam * (modulus - 1) != m * (m - 1):
         raise InvalidDifferenceSet("count arithmetic inconsistent")
     return lam
@@ -172,11 +183,15 @@ def singer_difference_set(r: int) -> DifferenceSet:
 class FFEnsemble:
     """A finite list of vectors in F_{q^2}^d with optional construction data.
 
-    data has shape (n, d, K) and is read-only, and the ensemble owns it:
-    the constructor stores a reduced copy of what the caller passes, so a
-    later write to the caller's array changes nothing here.  Only
-    `gabor_ensemble` and the canonical file reader hand over an array they
-    have just built, through `_adopt`, which skips that copy.  metadata
+    data has shape (n, d, K), is read-only, and the ensemble owns it.  It
+    is a C-contiguous uint16 array for every field: `build_field` rejects
+    p >= 2^16, so two bytes hold any residue, a quarter of int64 (the
+    d = 73 ensemble's 9.3 M coefficients take 19 MB, not 75 MB).  The
+    kernels convert only the chunk or row block they use.  The constructor
+    stores a reduced copy of what the caller passes, so a later write to
+    the caller's array changes nothing here.  Only `gabor_ensemble` and the
+    canonical file reader hand over a uint16 array they have just built,
+    through `_adopt`, which skips that copy.  metadata
     (when present) records how the ensemble was built, e.g. Gabor parameters
     {p, k, r, D, alpha, omega}.  It is stored as a read-only deep copy:
     mappings become MappingProxyType, and lists and numpy arrays become tuples.
@@ -186,17 +201,17 @@ class FFEnsemble:
 
     def __init__(self, ctx: FieldCtx, data, metadata: Optional[Mapping] = None):
         arr = np.asarray(data, dtype=np.int64) % ctx.p
-        self._own(ctx, np.ascontiguousarray(arr), metadata)
+        self._own(ctx, np.ascontiguousarray(arr, dtype=np.uint16), metadata)
 
     @classmethod
     def _adopt(cls, ctx: FieldCtx, arr: np.ndarray, metadata=None) -> "FFEnsemble":
         """An ensemble that takes arr itself as its data, with no reduction or copy.
 
-        arr must be a C-contiguous int64 array with entries in [0, p) that no
+        arr must be a C-contiguous uint16 array with entries in [0, p) that no
         caller holds or writes afterwards; it is made read-only here.
         """
-        if arr.dtype != np.int64 or not arr.flags.c_contiguous:
-            raise ValueError("only a C-contiguous int64 array can be adopted")
+        if arr.dtype != np.uint16 or not arr.flags.c_contiguous:
+            raise ValueError("only a C-contiguous uint16 array can be adopted")
         ens = cls.__new__(cls)
         ens._own(ctx, arr, metadata)
         return ens
@@ -260,6 +275,29 @@ def _pair_inner(ens: FFEnsemble, ki: np.ndarray, kj: np.ndarray) -> np.ndarray:
     """<x_{ki[m]}, x_{kj[m]}> for index arrays, conjugating the first slot."""
     ctx = ens.ctx
     return kernels.gather_dot(ens.data, ens.data, ki, kj, ctx.red, ctx.p, ctx.conj_matrix())
+
+
+def _first_off_pair(ens: FFEnsemble, pairs, want: np.ndarray) -> Optional[Tuple[int, int]]:
+    """The first pair (i, j) whose (q+1)-power of <x_i, x_j> is not want, or None.
+
+    pairs yields (ki, kj) index chunks of at most _PAIR_CHUNK pairs, so
+    the products and (q+1)-powers of one chunk are all that is held.
+    """
+    for ki, kj in pairs:
+        bad = np.flatnonzero(np.any(_norm_values(ens, _pair_inner(ens, ki, kj)) != want, axis=1))
+        if bad.size:
+            return int(ki[bad[0]]), int(kj[bad[0]])
+    return None
+
+
+def _upper_pairs(n: int):
+    """The pairs i < j of np.triu_indices(n, 1), in its order, as (ki, kj) chunks."""
+    starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))  # row i's first pair
+    total = int(starts[-1])
+    for lo in range(0, total, _PAIR_CHUNK):
+        t = np.arange(lo, min(lo + _PAIR_CHUNK, total))
+        ki = np.searchsorted(starts, t, side="right") - 1
+        yield ki, t - starts[ki] + ki + 1
 
 
 def _rank_one_matrices(ens: FFEnsemble) -> np.ndarray:
@@ -384,7 +422,9 @@ class EtfCheck:
 def check_etf(ens: FFEnsemble) -> EtfCheck:
     """Verify equal norms a, common pair value b, tightness c, exhaustively.
 
-    All n^2 inner products are formed.  On success the consistency
+    All n^2 inner products are formed, the pair values _PAIR_CHUNK pairs
+    at a time, and the first pair whose value differs from that of (0, 1)
+    is the counterexample.  On success the consistency
     identities n a = c d and a(c - a) = (n-1) b are asserted (a verified
     tight frame spans F^d); they are theorems for any ETF, so a violation
     means an arithmetic bug.
@@ -399,12 +439,11 @@ def check_etf(ens: FFEnsemble) -> EtfCheck:
     bad = np.nonzero(np.any(norms != norms[0], axis=1))[0]
     if bad.size:
         return EtfCheck(None, ("norm", 0, int(bad[0])))
-    ki, kj = np.triu_indices(n, k=1)
-    vals = _norm_values(ens, _pair_inner(ens, ki, kj))
-    b = FieldElement(ctx, vals[0])
-    bad = np.nonzero(np.any(vals != vals[0], axis=1))[0]
-    if bad.size:
-        return EtfCheck(None, ("angle", int(ki[bad[0]]), int(kj[bad[0]])))
+    ip01 = _pair_inner(ens, np.array([0]), np.array([1]))
+    b = FieldElement(ctx, _norm_values(ens, ip01)[0])
+    off = _first_off_pair(ens, _upper_pairs(n), b.coeffs)
+    if off is not None:
+        return EtfCheck(None, ("angle", *off))
     c = check_tight_frame(ens)
     if c is None:
         return EtfCheck(None, ("tightness", 0, 0))
@@ -422,7 +461,10 @@ def gram_sample_check(
     pairs: int = 100_000,
     seed: int = 0,
 ) -> bool:
-    """Spot-check (a, b) on random pairs; complements the structural route."""
+    """Spot-check (a, b) on random pairs; complements the structural route.
+
+    The pairs are drawn up front and checked _PAIR_CHUNK at a time.
+    """
     rng = np.random.default_rng(seed)
     n = ens.n
     if n == 0:
@@ -432,8 +474,11 @@ def gram_sample_check(
         kj = rng.integers(0, n, size=pairs)
         same = ki == kj
         kj[same] = (kj[same] + 1 + rng.integers(0, n - 1, size=int(same.sum()))) % n
-        vals = _norm_values(ens, _pair_inner(ens, ki, kj))
-        if np.any(vals != b.coeffs):
+        chunks = (
+            (ki[lo : lo + _PAIR_CHUNK], kj[lo : lo + _PAIR_CHUNK])
+            for lo in range(0, pairs, _PAIR_CHUNK)
+        )
+        if _first_off_pair(ens, chunks, b.coeffs) is not None:
             return False
     some = rng.integers(0, n, size=min(pairs, 4096))
     norms = _pair_inner(ens, some, some)
@@ -695,15 +740,17 @@ def gabor_ensemble(p: int, k: int, r: int) -> FFEnsemble:
     frob(omega) omega = 1 (`_weyl_heisenberg_preconditions`), which the
     Weyl-Heisenberg identities and `structural_gabor_verify` rely on.
     """
-    ctx, phases, support, meta = _gabor_parts(p, k, r)
-    vecs = phases[:, None, :, :] * support[None, :, :, None]  # fresh, entries in [0, p)
+    ctx, pows, support, meta = _gabor_parts(p, k, r)
     d = support.shape[0]
+    vecs = np.empty((d, d, d, ctx.deg), dtype=np.uint16)  # fresh, entries in [0, p)
+    for s in range(d):
+        _gabor_block(pows, support, s, out=vecs[s])
     return FFEnsemble._adopt(ctx, vecs.reshape(d * d, d, ctx.deg), meta)
 
 
 def _powers(z: FieldElement, m: int) -> np.ndarray:
-    """z^0, ..., z^(m-1) as an (m, K) array."""
-    pows = np.zeros((m, z.ctx.deg), dtype=np.int64)
+    """z^0, ..., z^(m-1) as an (m, K) uint16 array, the dtype of ensemble data."""
+    pows = np.zeros((m, z.ctx.deg), dtype=np.uint16)
     w = z.ctx.one()
     for i in range(m):
         pows[i] = w.coeffs
@@ -712,10 +759,10 @@ def _powers(z: FieldElement, m: int) -> np.ndarray:
 
 
 def _gabor_parts(p: int, k: int, r: int):
-    """(ctx, phases, support, metadata) of gabor_ensemble(p, k, r).
+    """(ctx, pows, support, metadata) of gabor_ensemble(p, k, r).
 
-    phases[s, x] = omega^{s x} and support[t, x] = 1_D(x - t), so the block of
-    vectors s*d .. s*d + d - 1 is phases[s] * support[:, :, None].
+    pows[m] = omega^m and support[t, x] = 1_D(x - t), both uint16, the
+    dtype of ensemble data; `_gabor_block` makes one block of d vectors.
     """
     d = r * r + r + 1
     if (r - 1) % p != 0:
@@ -728,11 +775,9 @@ def _gabor_parts(p: int, k: int, r: int):
     omega = root_of_unity(ctx, d)
     _weyl_heisenberg_preconditions(d, omega)
     pows = _powers(omega, d)
-    xs = np.arange(d)
-    support = np.zeros((d, d), dtype=bool)  # support[t, x] = 1_D(x - t)
+    support = np.zeros((d, d), dtype=np.uint16)
     for t in range(d):
-        support[t, (np.asarray(ds.elements) + t) % d] = True
-    phases = pows[(np.outer(xs, xs)) % d]  # phases[s, x] = omega^{s x}
+        support[t, (np.asarray(ds.elements) + t) % d] = 1
     meta = {
         "kind": "gabor",
         "p": p,
@@ -742,7 +787,13 @@ def _gabor_parts(p: int, k: int, r: int):
         "alpha": alpha,
         "omega": omega,
     }
-    return ctx, phases, support, meta
+    return ctx, pows, support, meta
+
+
+def _gabor_block(pows: np.ndarray, support: np.ndarray, s: int, out=None) -> np.ndarray:
+    """The vectors s*d + t, t < d, as a (d, d, K) array: omega^{s x} 1_D(x - t)."""
+    d = support.shape[0]
+    return np.multiply(pows[s * np.arange(d) % d], support[:, :, None], out=out)
 
 
 def _rebuilds_gabor(ens: FFEnsemble) -> bool:
@@ -764,14 +815,14 @@ def _rebuild_matches(ens: FFEnsemble) -> bool:
     if (r * r + r + 1, d * d, p, 2 * k) != (d, ens.n, ens.ctx.p, ens.ctx.deg):
         return False
     try:
-        ctx, phases, support, ref_meta = _gabor_parts(p, k, r)
+        ctx, pows, support, ref_meta = _gabor_parts(p, k, r)
     except (DivisibilityViolated, NotPrimePower, PreconditionViolated):
         return False
     same_meta = all(ref_meta[key] == meta.get(key) for key in ("D", "alpha", "omega"))
     if ctx is not ens.ctx or not same_meta:
         return False
     blocks = ens.data.reshape(d, d, d, ctx.deg)  # one block of d vectors per phase s
-    return all(np.array_equal(blocks[s], phases[s] * support[:, :, None]) for s in range(d))
+    return all(np.array_equal(blocks[s], _gabor_block(pows, support, s)) for s in range(d))
 
 
 def structural_gabor_verify(ens: FFEnsemble) -> EtfCheck:

@@ -18,7 +18,8 @@ through repr floats losslessly.
      "lambda": ...}               # written for readers; recomputed on load
 
 Field elements inside metadata are encoded as {"element": [coefficients]}
-and revived against the file's field context on load.
+and revived against the file's field context on load; the coefficients
+must be K ints (not bools) in [0, p), as the vectors' are.
 
 `save_design` writes a finite ensemble's vectors without building them as
 Python ints: the head is `canonical_dumps` of the document without
@@ -34,14 +35,16 @@ written in 0.2-0.3 s instead of 2.1 s.
 JSON.  Sorted keys put "vectors" last, so such a file ends in
 `,"vectors":[[[...]]]}\n`: only the ASCII head before that key goes
 through `json.loads`, and the integer block is parsed by numpy digit
-arithmetic into one preallocated int64 (n, d, K) array, which the
-ensemble adopts as its data without a copy.  Each window's
-non-digit bytes must be exactly the `[[[c,c],[c,c]],[[...` skeleton of the
-shape the head declares, with no sign, fraction, exponent, whitespace,
-leading zero or number over 18 digits.  Any file that fails a check is
-read by `load_json` and `ensemble_from_design_file` instead, so the reader
-changes no result and no error message, only the time: the d = 73 file
-(19.5 MB) loads in 0.4-0.6 s instead of 1.9 s.
+arithmetic into one preallocated uint16 (n, d, K) array, the dtype of
+every ensemble's data, which the ensemble adopts without a copy.  Each
+window's non-digit bytes must be exactly the `[[[c,c],[c,c]],[[...`
+skeleton of the shape the head declares, with no sign, fraction,
+exponent, whitespace, leading zero, number over 5 digits or number of
+2^16 or more (no residue mod p < 2^16 is one, and uint16 would wrap it).
+Any file that fails a check is read by `load_json` and
+`ensemble_from_design_file` instead, so the reader changes no result and
+no error message, only the time: the d = 73 file (19.5 MB) loads in
+0.4-0.6 s instead of 1.9 s.
 
 The file is mapped with `mmap` and parsed in windows of 64 KiB (about 18
 vectors at d = 73), because the allocation pattern sets the peak RSS of a
@@ -135,7 +138,14 @@ def _encode_value(v: Any) -> Any:
 def _decode_value(v: Any, ctx: FieldCtx) -> Any:
     if isinstance(v, dict):
         if set(v.keys()) == {"element"}:
-            return ctx.element(v["element"])
+            coeffs = v["element"]
+            if (
+                type(coeffs) is not list
+                or len(coeffs) != ctx.deg
+                or any(type(c) is not int or not 0 <= c < ctx.p for c in coeffs)
+            ):
+                raise SchemaError(f"a field element needs {ctx.deg} int coefficients in [0, p)")
+            return ctx.element(coeffs)
         return {k: _decode_value(x, ctx) for k, x in v.items()}
     if isinstance(v, list):
         return [_decode_value(x, ctx) for x in v]
@@ -299,7 +309,8 @@ _VECTORS_KEY = b',"vectors":['
 _TAIL = b"]}\n"
 _BOUNDARY = b"]],[["  # between two vectors, and nowhere else in a well-formed block
 _CHUNK_BYTES = 1 << 16
-_MAX_DIGITS = 18  # every integer of at most 18 digits fits in int64
+_MAX_DIGITS = 5  # a residue mod p < 2^16 has at most 5 digits
+_MAX_RESIDUE = (1 << 16) - 1  # the largest number a uint16 holds
 
 
 def _separators(d: int, k: int) -> list:
@@ -384,10 +395,10 @@ def _parse_vectors(mm: mmap.mmap, start: int, end: int, shape) -> Optional[np.nd
     seps = _separators(d, k)
     one = b"".join(seps)[3:] + b"]]"  # the block's first vector
     most = min(n, max(1, (_CHUNK_BYTES + 1) // (len(one) + per_vector + 1)))
-    gaps = np.tile([len(s) for s in seps], most)
+    gaps = np.tile(np.array([len(s) for s in seps], dtype=np.uint8), most)
     gaps[0] = 2
     skeleton = np.frombuffer(b",".join([one] * most), dtype=np.uint8)
-    out = np.empty((n, per_vector), dtype=np.int64)
+    out = np.empty((n, per_vector), dtype=np.uint16)
     done, pos = 0, start
     while pos < end:
         stop = end
@@ -407,18 +418,22 @@ def _parse_vectors(mm: mmap.mmap, start: int, end: int, shape) -> Optional[np.nd
 
 
 def _parse_window(buf: bytes, per_vector: int, gaps, skeleton) -> Optional[np.ndarray]:
-    """The (c, d*K) numbers of c whole vectors written in buf, or None."""
+    """The (c, d*K) numbers of c whole vectors written in buf, or None.
+
+    The window is far below 2^31 bytes, so positions and lengths are int32.
+    """
     u = np.frombuffer(buf, dtype=np.uint8)
     digit = u - np.uint8(48)  # other bytes wrap to 10 and above
     isdig = digit < 10
     if isdig[0] or isdig[-1]:
         return None
-    edges = np.flatnonzero(isdig[1:] != isdig[:-1]) + 1
+    edges = np.flatnonzero(isdig[1:] != isdig[:-1]).astype(np.int32)
+    edges += 1
     count = len(edges) // 2
     if count == 0 or count % per_vector:
         return None
     # alternating lengths: non-digit gap, number, gap, ..., number, gap
-    runs = np.diff(edges, prepend=0, append=len(u))
+    runs = np.diff(edges, prepend=np.int32(0), append=np.int32(len(u)))
     lengths = runs[1::2]
     if (
         runs[-1] != 2
@@ -427,13 +442,15 @@ def _parse_window(buf: bytes, per_vector: int, gaps, skeleton) -> Optional[np.nd
     ):
         return None
     starts = edges[0::2]
-    nums = digit[starts].astype(np.int64)
+    nums = digit[starts].astype(np.int32)
     longest = int(lengths.max())
     if longest > _MAX_DIGITS or (longest > 1 and np.any((nums == 0) & (lengths > 1))):
         return None
     for j in range(1, longest):
         more = np.flatnonzero(lengths > j)
         nums[more] = nums[more] * 10 + digit[starts[more] + j]
+    if longest == _MAX_DIGITS and nums.max() > _MAX_RESIDUE:
+        return None  # the json path rejects it; narrowing would wrap it
     return nums.reshape(-1, per_vector)
 
 

@@ -1,14 +1,21 @@
 """Batched arithmetic kernels for extension-field coefficient vectors.
 
-Field elements are stored as int64 coefficient vectors of length K
-(constant term first), with entries reduced mod a prime p.  Products are
-schoolbook convolutions followed by reduction with a precomputed matrix
+Field elements are coefficient vectors of length K (constant term first),
+with entries reduced mod a prime p.  Products are schoolbook
+convolutions followed by reduction with a precomputed matrix
 ``red`` of shape (K-1, K) whose row j holds the coefficients of
 x^(K+j) mod f, where f is the (monic) field modulus of degree K.
 
 Each kernel has one implementation in numpy: integer arithmetic for
 ``mul_batch``, float64 products handed to BLAS for the other five, with the
 exactness bounds below checked in code.
+
+Operands may have any integer dtype, and results are int64.  ``gather_dot``
+(and so ``dot_batch``) and ``frame_operator`` read their operands as they
+are and convert only a gathered chunk or a row block to float64, so a
+finite ensemble's uint16 data is never copied whole.  ``mul_batch``,
+``matmul`` and ``elim_update`` take their operands as int64 (a copy for
+another dtype); their callers pass small or derived arrays.
 
 ``mul_batch`` takes any two (..., K) arrays whose leading axes broadcast
 against each other (numpy rules) and returns an array of the broadcast
@@ -219,9 +226,10 @@ def dot_batch(x, y, red, p, frob=None):
 
 def gather_dot(x, y, ki, kj, red, p, frob=None):
     """dot_batch on gathered row pairs (x[ki[b]], y[kj[b]])."""
-    x, y, ki, kj, red = _as_i64(x), _as_i64(y), _as_i64(ki), _as_i64(kj), _as_i64(red)
+    x, y = np.asarray(x), np.asarray(y)
+    ki, kj, red = _as_i64(ki), _as_i64(kj), _as_i64(red)
     fold = _fold_matrix(red, p) if frob is None else _conj_fold(_as_i64(frob), red, p)
-    # gather int64 rows in chunks and convert only the chunk: peak memory stays flat
+    # gather rows in chunks and convert only the chunk: peak memory stays flat
     m = ki.shape[0]
     _, d, k = x.shape
     step = max(1, _GATHER_CHUNK // max(d * k, 1))
@@ -263,7 +271,7 @@ def frame_operator(x, frob, red, p):
     (or 1024 floats when D*K < 64) and one strip product of at most
     D*K x (width*K) floats.
     """
-    x, frob, red = _as_i64(x), _as_i64(frob), _as_i64(red)
+    x, frob, red = np.asarray(x), _as_i64(frob), _as_i64(red)
     n, d, k = x.shape
     dk = d * k
     # row a*K+b is x^a * frob(x^b): the conjugated fold's two factors swapped

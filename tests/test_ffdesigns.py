@@ -62,6 +62,22 @@ def test_verify_difference_set():
         verify_difference_set(7, (0, 1, 1))
 
 
+def test_a_modulus_beyond_the_differences_is_rejected_before_counting():
+    # m(m - 1) differences cannot cover modulus - 1 residues lam >= 1 times each;
+    # counting first asked for a modulus-sized list (16 MB at 10^6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidDifferenceSet):
+            DifferenceSet.create(10**6, [0, 1])
+        with pytest.raises(InvalidDifferenceSet):
+            verify_difference_set(10**10, (0, 1, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
+    assert verify_difference_set(3, (0, 1)) == 1  # modulus - 1 = m(m - 1) still counts
+
+
 def test_difference_set_create():
     ds = DifferenceSet.create(7, (0, 1, 3))
     assert (ds.modulus, ds.elements, ds.lam) == (7, (0, 1, 3), 1)
@@ -142,6 +158,46 @@ def test_gram_sample_check(f9):
     assert gram_sample_check(f9, ctx.zero(), ctx.one(), pairs=500, seed=1)
     assert not gram_sample_check(f9, ctx.zero(), ctx.scalar(2), pairs=500, seed=1)
     assert not gram_sample_check(f9, ctx.one(), ctx.one(), pairs=500, seed=1)
+
+
+def test_pair_chunks_follow_triu_order(monkeypatch):
+    monkeypatch.setattr(ffdesigns, "_PAIR_CHUNK", 7)
+    for n in (2, 3, 10, 17):
+        chunks = list(ffdesigns._upper_pairs(n))
+        assert all(len(ki) <= 7 for ki, _ in chunks)
+        got = np.concatenate([ki for ki, _ in chunks]), np.concatenate([kj for _, kj in chunks])
+        want = np.triu_indices(n, k=1)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), n
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 4096])
+def test_check_etf_witness_is_the_first_failing_pair(monkeypatch, chunk):
+    # the forged d = 13 file: the first pair value unlike that of (0, 1), in
+    # np.triu_indices order over all pairs at once, whatever the chunk size
+    forged = forged_gabor_d13()
+    ki, kj = np.triu_indices(forged.n, k=1)
+    vals = ffdesigns._norm_values(forged, ffdesigns._pair_inner(forged, ki, kj))
+    first = int(np.flatnonzero(np.any(vals != vals[0], axis=1))[0])
+    monkeypatch.setattr(ffdesigns, "_PAIR_CHUNK", chunk)
+    res = check_etf(forged)
+    assert res.counterexample == ("angle", int(ki[first]), int(kj[first])) == ("angle", 1, 13)
+
+
+def test_gram_sample_check_holds_one_chunk_of_pairs():
+    # ten times the pairs, about the same peak: one chunk's products at a time
+    # (before, 40 000 pairs peaked at ten times 4096 pairs' peak)
+    ens = gabor_ensemble(2, 6, 3)
+    a, b = structural_gabor_verify(ens).params[:2]
+    peaks = []
+    for pairs in (4096, 40_000):
+        assert gram_sample_check(ens, a, b, pairs=pairs, seed=3)
+        tracemalloc.start()
+        try:
+            assert gram_sample_check(ens, a, b, pairs=pairs, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_gram_sample_check_one_vector():
@@ -343,7 +399,7 @@ def test_gabor_small_instance():
 
 
 def test_gabor_ensemble_holds_one_copy_of_its_vectors():
-    # the phases * support product is adopted as the data, not reduced into a copy
+    # the blocks are written into the array that becomes the data, with no reduced copy
     gabor_ensemble(2, 6, 3)  # warms the field cache
     bufsize = np.getbufsize()
     np.setbufsize(1024)  # numpy's fixed ufunc buffer (128 KiB) is 0.6 of this data
@@ -357,8 +413,11 @@ def test_gabor_ensemble_holds_one_copy_of_its_vectors():
     assert peak < 1.25 * ens.data.nbytes, peak
     with pytest.raises(ValueError):
         ens.data[0, 0, 0] = 1
-    with pytest.raises(ValueError):  # only a fresh C-contiguous int64 array is adopted
+    assert ens.data.dtype == np.uint16
+    with pytest.raises(ValueError):  # only a fresh C-contiguous uint16 array is adopted
         FFEnsemble._adopt(ens.ctx, ens.data.transpose(1, 0, 2))
+    with pytest.raises(ValueError):
+        FFEnsemble._adopt(ens.ctx, ens.data.astype(np.int64))
 
 
 def test_gabor_parameter_guards():

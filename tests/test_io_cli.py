@@ -278,6 +278,67 @@ def test_a_loaded_canonical_file_holds_one_copy_of_its_vectors(tmp_path):
     assert not ens.data.flags.writeable
 
 
+@pytest.mark.parametrize("number", [65539, 10**17])
+def test_a_coefficient_of_2_16_or_more_is_rejected_not_wrapped(tmp_path, number):
+    # 65539 would wrap to 3 in uint16, a residue of every field; 10^17 exceeds 5 digits
+    ctx = build_field(65521, 2)
+    ens = FFEnsemble(ctx, np.ones((2, 2, 2), dtype=np.int64))
+    path = str(tmp_path / "wide.json")
+    io.save_design(path, ens)
+    text = Path(path).read_text()
+    assert text.count('"vectors":[[[1,') == 1
+    Path(path).write_text(text.replace('"vectors":[[[1,', f'"vectors":[[[{number},'))
+    assert io._read_canonical_finite(path) is None
+    with pytest.raises(io.SchemaError):
+        io.load_design(path)
+
+
+def test_finite_data_is_uint16_on_every_path(tmp_path, f9):
+    gabor = gabor_ensemble(2, 6, 3)
+    path = str(tmp_path / "g.json")
+    io.save_design(path, gabor)
+    doc = io.load_json(path)
+    for ens in (
+        gabor,
+        f9,
+        io.load_design(path),
+        io.ensemble_from_design_file(doc),
+        FFEnsemble(gabor.ctx, np.asarray(doc["vectors"], dtype=np.int64)),
+        FFEnsemble(gabor.ctx, doc["vectors"]),
+    ):
+        assert ens.data.dtype == np.uint16 and ens.data.flags.c_contiguous
+        assert np.array_equal(ens.data, gabor.data) or ens is f9
+
+
+def test_largest_prime_field_round_trips_and_verifies_as_int64(tmp_path):
+    # residues 0 and p - 1 at the top of uint16; the claims on the stored data
+    # match those on the same vectors held as int64
+    p = 65521
+    ctx = build_field(p, 2)
+    rng = np.random.default_rng(65521)
+    vecs = rng.choice(np.array([0, 1, p - 2, p - 1]), size=(9, 3, 2))
+    vecs[0, 0] = (p - 1, 0)
+    path, again = str(tmp_path / "p.json"), str(tmp_path / "again.json")
+    io.save_design(path, FFEnsemble(ctx, vecs))
+    loaded = io.load_design(path)
+    assert loaded.data.dtype == np.uint16 and np.array_equal(loaded.data, vecs)
+    io.save_design(again, loaded)
+    assert Path(again).read_bytes() == Path(path).read_bytes()
+    assert Path(path).read_bytes() == io.canonical_dumps(io.design_file_from_ensemble(loaded)).encode()
+    wide = FFEnsemble.__new__(FFEnsemble)
+    wide._own(ctx, vecs.astype(np.int64), None)
+    assert wide.data.dtype == np.int64
+    assert ffdesigns.check_tight_frame(loaded) == ffdesigns.check_tight_frame(wide)
+    assert ffdesigns.check_etf(loaded) == ffdesigns.check_etf(wide)
+    assert ffdesigns.certify_tight_2design(loaded) == ffdesigns.certify_tight_2design(wide)
+    frob = ctx.conj_matrix()
+    for x in (loaded.data, wide.data):
+        assert np.array_equal(
+            kernels.frame_operator(x, frob, ctx.red, p),
+            kernels.frame_operator(vecs, frob, ctx.red, p),
+        )
+
+
 def test_a_callers_vectors_array_is_copied():
     gabor = gabor_ensemble(2, 6, 3)
     doc = io.design_file_from_ensemble(gabor)
@@ -441,7 +502,7 @@ def test_finite_files_with_a_zero_dimension_load(tmp_path, shape):
     io.save_design(path, FFEnsemble(ctx, np.zeros(shape, dtype=np.int64)))
     for loaded in (io.load_design(path), io.ensemble_from_design_file(io.load_json(path))):
         assert loaded.ctx is ctx
-        assert loaded.data.shape == shape and loaded.data.dtype == np.int64
+        assert loaded.data.shape == shape and loaded.data.dtype == np.uint16
 
 
 @pytest.mark.parametrize("shape", [(3, 0, 2), (0, 0, 2)])
@@ -746,6 +807,10 @@ _DIFFERENCE_SET_DOC = {"format": 1, "setting": "difference-set", "modulus": 7, "
         ("finite", {"field": {"p": 3, "k": 2, "modulus": 5}}),
         ("finite", {"field": {"p": 3.7, "k": 2}}),
         ("finite", {"metadata": [1, 2]}),
+        ("finite", {"metadata": {"omega": {"element": [1.7, 2.2]}}}),
+        ("finite", {"metadata": {"omega": {"element": [True, False]}}}),
+        ("finite", {"metadata": {"omega": {"element": [1, 3]}}}),
+        ("finite", {"metadata": {"omega": {"element": [1]}}}),
     ],
 )
 def test_cli_malformed_design_file_exits_2(tmp_path, capsys, f9, setting, edit):
@@ -757,6 +822,13 @@ def test_cli_malformed_design_file_exits_2(tmp_path, capsys, f9, setting, edit):
     io.save_json(f, doc)  # canonical, so a finite file also goes through the fast reader
     claim = "difference-set" if setting == "difference-set" else "etf"
     assert cli.main(["verify", f, "--claims", claim]) == 2
+
+
+def test_cli_difference_set_with_a_huge_modulus_exits_2(tmp_path, capsys):
+    # rejected by counting, before any modulus-sized list is made
+    f = str(tmp_path / "big.json")
+    io.save_json(f, {**_DIFFERENCE_SET_DOC, "modulus": 10**10, "elements": [0, 1]})
+    assert cli.main(["verify", f, "--claims", "difference-set"]) == 2
 
 
 def test_cli_empty_claims_exits_2(tmp_path, capsys, f9):

@@ -189,6 +189,33 @@ def test_gather_dot_converts_only_gathered_rows():
     assert peak < x.nbytes // 16, peak
 
 
+def test_uint16_operands_are_converted_a_chunk_at_a_time():
+    # an int64 or float64 copy of a whole uint16 operand would be 4x x.nbytes;
+    # frame_operator gets N >> D*K at the same nbytes, since the strips of its
+    # G (D*K)^2 would exceed x.nbytes at D*K = 512 whatever x's dtype
+    ctx = build_field(7, 8)
+    rng = np.random.default_rng(16)
+    frob = ctx.frob_power_matrix(4)
+    gathered = _rand_elems(rng, ctx, (512, 64)).astype(np.uint16)
+    long = _rand_elems(rng, ctx, (4096, 8)).astype(np.uint16)
+    ki, kj = rng.integers(0, 512, size=16), rng.integers(0, 512, size=16)
+    calls = (
+        (gathered, lambda x: kernels.gather_dot(x, x, ki, kj, ctx.red, ctx.p, frob)),
+        (long, lambda x: kernels.frame_operator(x, frob, ctx.red, ctx.p)),
+    )
+    for x, call in calls:
+        assert x.nbytes == 512 * 64 * 8 * 2
+        want = call(x.astype(np.int64))  # also warms the fold caches
+        tracemalloc.start()
+        try:
+            got = call(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < x.nbytes, peak
+
+
 @pytest.mark.parametrize("p,k", BENCH_FIELDS)
 def test_matmul_spans_row_blocks(p, k):
     ctx = build_field(p, k)

@@ -150,8 +150,12 @@ def test_conjugated_dots_property(field, seed, n, d, m):
 
     want = np.array([oracle(x[i], y[j]) for i, j in zip(ki, kj)]).reshape(m, ctx.deg)
     assert np.array_equal(kernels.gather_dot(x, y, ki, kj, ctx.red, ctx.p, frob), want)
-    want = np.stack([oracle(x[r], y[r]) for r in range(n)])
-    assert np.array_equal(kernels.dot_batch(x, y, ctx.red, ctx.p, frob), want)
+    want_rows = np.stack([oracle(x[r], y[r]) for r in range(n)])
+    assert np.array_equal(kernels.dot_batch(x, y, ctx.red, ctx.p, frob), want_rows)
+    # uint16 operands, as an ensemble's data is held, give the int64 results
+    x16, y16 = x.astype(np.uint16), y.astype(np.uint16)
+    assert np.array_equal(kernels.gather_dot(x16, y16, ki, kj, ctx.red, ctx.p, frob), want)
+    assert np.array_equal(kernels.dot_batch(x16, y16, ctx.red, ctx.p, frob), want_rows)
 
 
 @PROPERTY
@@ -187,6 +191,8 @@ def test_frame_operator_property(field, seed, n, d):
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     assert np.array_equal(got, via_matmul)
+    # uint16 operands, as an ensemble's data is held, give the int64 results
+    assert np.array_equal(kernels.frame_operator(x.astype(np.uint16), frob, ctx.red, ctx.p), want)
 
 
 @PROPERTY

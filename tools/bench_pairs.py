@@ -14,9 +14,12 @@ tree's files that git does not ignore.  The two sit in sibling directories
 `parent` and `change` of one temporary directory, because peak RSS depends
 on the length of the tree's path by more than 0.1 MB.  The side that goes
 first alternates (the parent on even pairs).  Before every run the side's
-__pycache__ directories are deleted, so that both sides import freshly
-compiled sources, as a new checkout does: with cached bytecode on one side
-only, peak RSS differs by up to 0.6 MB.
+__pycache__ directories are deleted and `python -m compileall -q` compiles
+the side afresh (it writes bytecode even under PYTHONDONTWRITEBYTECODE=1),
+so that both sides import the same kind of bytecode and no run pays for
+compiling: with cached bytecode on one side only, peak RSS differs by up
+to 0.6 MB, and what the compiler leaves in the heap moves it with the
+length of the source text.
 Each run's end-to-end metrics are read from the last line of its stdout.
 The result goes to BENCH_<label>.json: per side and metric the median and
 quartiles of the runs, how many pairs the change was lower in, and the
@@ -24,7 +27,7 @@ attempted and failed checks.  With --traced SEED each side also makes one
 --trace 1 run per workload, and its per-layer metrics are stored as they are.
 
 Standard library only; nothing under perfbench/ is written to except its
-ignored out/ directory on each side.
+ignored out/ and __pycache__/ directories on each side.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import platform
 import shutil
 import statistics
 import subprocess
+import sys
 import tarfile
 import tempfile
 from pathlib import Path
@@ -67,14 +71,16 @@ def export_worktree(dest: Path) -> None:
             shutil.copy2(ROOT / name, dest / name)
 
 
-def clear_bytecode(tree: Path) -> None:
+def recompile(tree: Path) -> None:
+    """Delete the tree's bytecode and compile every source in it afresh."""
     for cache in list(tree.rglob("__pycache__")):
         shutil.rmtree(cache)
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "."], cwd=tree, check=True)
 
 
 def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """One benchmark run; returns its final JSON line plus the machine line."""
-    clear_bytecode(tree)
+    recompile(tree)
     cmd = [
         *BENCH["command"], "--workload", workload, "--seed", str(seed),
         "--seconds", str(BENCH["run_seconds"]), "--trace", str(trace),
