@@ -10,11 +10,13 @@ quantities attached to an equiangular tight frame are
     c = tightness constant in sum_k x_k x_k* = c I.
 
 A 2-design is a c2-tight frame of the lifted vectors x_k (x) x_k for the
-symmetric subspace.  Two independent verification routes are provided (a
-dense tensor comparison and a blockwise map comparison) plus a parameter
-certificate route for ensembles far too large to verify directly.  A Gabor
-ensemble that its metadata rebuilds gets c and c2 from counts on its
-difference set instead (`_weyl_heisenberg_c2`).
+symmetric subspace.  Two independent verification routes are provided on
+two kernels: the dense route takes T as the frame operator of the lifted
+vectors, the blockwise route a matrix product for the map's matrix Psi.
+S, T and Psi are each compared with a scalar times a fixed target.  A
+parameter certificate route covers ensembles far too large to verify
+directly.  A Gabor ensemble that its metadata rebuilds gets c and c2 from
+counts on its difference set instead (`_weyl_heisenberg_c2`).
 
 An FFEnsemble's data and metadata are read-only, so a private memo can keep
 every fact the claims share for the ensemble's life: the tightness
@@ -143,8 +145,6 @@ def verify_difference_set(modulus: int, elements: Sequence[int]) -> int:
         raise InvalidDifferenceSet(
             f"difference counts not uniform: min {min(nonzero)}, max {max(nonzero)}"
         )
-    if lam * (modulus - 1) != m * (m - 1):
-        raise InvalidDifferenceSet("count arithmetic inconsistent")
     return lam
 
 
@@ -338,22 +338,31 @@ def _tight_constant(ens: FFEnsemble) -> Optional[FieldElement]:
     if _rebuilds_gabor(ens):
         c = ctx.scalar(d * len(ens.metadata["D"]))
     else:
-        c = _frame_operator_constant(ens)
-    if c is not None and c.is_zero() and rank(ctx, ens.data, max_pivots=d) != d:
-        return None  # vectors do not span
+        s = kernels.frame_operator(ens.data, ctx.conj_matrix(), ctx.red, ctx.p)
+        c = _multiple_of(ctx, s, np.eye(d, dtype=np.int64))
+    if c is not None and c.is_zero() and not _spans(ctx, ens.data, d):
+        return None
     return c
 
 
-def _frame_operator_constant(ens: FFEnsemble) -> Optional[FieldElement]:
-    """c with S = c I from the exact frame operator S, or None."""
-    ctx, d = ens.ctx, ens.d
-    if d == 0:
+def _multiple_of(ctx: FieldCtx, s: np.ndarray, target: np.ndarray) -> Optional[FieldElement]:
+    """c with s = c target, or None.
+
+    s is a (D, D, K) field array and target a (D, D) array over F_p with
+    target[0, 0] = 1, so c can only be s[0, 0].  An empty s has no c.
+    """
+    if s.size == 0:
         return None
-    s = kernels.frame_operator(ens.data, ctx.conj_matrix(), ctx.red, ctx.p)
     c = FieldElement(ctx, s[0, 0])
-    expected = np.zeros_like(s)
-    expected[np.arange(d), np.arange(d)] = c.coeffs
-    return c if np.array_equal(s, expected) else None
+    return c if np.array_equal(s, target[:, :, None] * c.coeffs % ctx.p) else None
+
+
+def _spans(ctx: FieldCtx, rows: np.ndarray, dim: int) -> bool:
+    """Whether the rows, which lie in a space of dimension dim, span it.
+
+    Their rank cannot exceed dim, so `rank` may stop there.
+    """
+    return rank(ctx, rows, max_pivots=dim) == dim
 
 
 def _weyl_heisenberg_preconditions(d: int, omega: FieldElement) -> None:
@@ -541,7 +550,7 @@ def check_gerzon(ens: FFEnsemble, a: FieldElement, b: FieldElement) -> GerzonRep
 
 
 # ---------------------------------------------------------------------------
-# 2-design verification (two independent routes)
+# 2-design verification (two independent routes on two kernels)
 # ---------------------------------------------------------------------------
 
 
@@ -552,16 +561,11 @@ def _lifted_vectors(ens: FFEnsemble) -> np.ndarray:
     return out.reshape(ens.n, ens.d**2, ctx.deg)
 
 
-def _sym_span_ok(ens: FFEnsemble, lifted: np.ndarray) -> bool:
-    """Whether the lifted rows span Sym, of dimension target.  They lie in Sym
-    and are computed here, never read from a file, so their rank cannot
-    exceed target and `rank` may stop there."""
-    target = ens.d * (ens.d + 1) // 2
-    return rank(ens.ctx, lifted, max_pivots=target) == target
-
-
 def check_2design_naive(ens: FFEnsemble) -> Optional[FieldElement]:
-    """Dense route: sum_k (x_k (x) x_k)(x_k (x) x_k)* compared to c2 Pi."""
+    """Dense route: T = sum_k (x_k (x) x_k)(x_k (x) x_k)* compared to c2 Pi.
+
+    T is the frame operator of the lifted vectors.
+    """
     ctx = ens.ctx
     if ctx.p == 2:
         raise EvenCharacteristic("2-design verification needs odd characteristic")
@@ -569,21 +573,19 @@ def check_2design_naive(ens: FFEnsemble) -> Optional[FieldElement]:
     if n * d**4 > NAIVE_MULTIPLY_BUDGET:
         raise BudgetExceeded(f"naive route cost n d^4 = {n * d ** 4} over budget")
     lifted = _lifted_vectors(ens)
-    lf = frobenius_array(ctx, lifted)
-    t = kernels.matmul(lifted.transpose(1, 0, 2), lf, ctx.red, ctx.p)
-    pi = sym_projector(ctx, d)
-    c2 = FieldElement(ctx, t[0, 0])  # Pi[(0,0),(0,0)] = 1
-    if not np.array_equal(t, kernels.mul_batch(pi.data, c2.coeffs, ctx.red, ctx.p)):
-        return None
-    if c2.is_zero() and not _sym_span_ok(ens, lifted):
-        return None
+    t = kernels.frame_operator(lifted, ctx.conj_matrix(), ctx.red, ctx.p)
+    c2 = _multiple_of(ctx, t, sym_projector(ctx, d).data[:, :, 0])
+    if c2 is not None and c2.is_zero() and not _spans(ctx, lifted, d * (d + 1) // 2):
+        return None  # the lifted vectors lie in Sym
     return c2
 
 
 def check_2design_psi(ens: FFEnsemble) -> Optional[FieldElement]:
     """Blockwise route via the map A -> sum_k (x_k* A x_k) x_k x_k*.
 
-    On the matrix units the map must return (c2/2)(e_j e_i* + delta_ij I).
+    On the matrix units the map must return (c2/2)(e_j e_i* + delta_ij I),
+    so the (d^2, d^2) matrix Psi of the map must be c2 times
+    (SWAP + [i = j][i' = j'])/2, Pi with its indices realigned.
     Mathematically equivalent to the dense route and organized as d^2
     blocks; the cost is the same (d^2, n) @ (n, d^2) product.
     """
@@ -596,22 +598,11 @@ def check_2design_psi(ens: FFEnsemble) -> Optional[FieldElement]:
     # the rank-one matrices are also the blocks' coefficients
     x = _rank_one_matrices(ens)
     psi = kernels.matmul(x.transpose(1, 0, 2), x, ctx.red, ctx.p)  # (d^2, d^2, K)
-    if d == 1:
-        c2 = FieldElement(ctx, psi[0, 0])
-        gamma = c2 / ctx.scalar(2)
-    else:
-        gamma = FieldElement(ctx, psi[1, d])  # block (0,1) at entry (1,0)
-        c2 = gamma * ctx.scalar(2)
-    idx = np.arange(d * d)
-    i, j = idx // d, idx % d
-    pattern = (
-        (j[:, None] * d + i[:, None] == idx[None, :]).astype(np.int64)
-        + (i == j)[:, None] * (i[None, :] == j[None, :]).astype(np.int64)
-    )
-    expected = (pattern[:, :, None] * gamma.coeffs[None, None, :]) % ctx.p
-    if not np.array_equal(psi, expected):
-        return None
-    if c2.is_zero() and not _sym_span_ok(ens, _lifted_vectors(ens)):
+    i, j = np.divmod(np.arange(d * d), d)
+    # ints before the sum: bool + bool would be OR
+    pattern = ((j * d + i)[:, None] == i * d + j).astype(np.int64) + np.outer(i == j, i == j)
+    c2 = _multiple_of(ctx, psi, pattern * ((ctx.p + 1) // 2) % ctx.p)
+    if c2 is not None and c2.is_zero() and not _spans(ctx, _lifted_vectors(ens), d * (d + 1) // 2):
         return None
     return c2
 

@@ -300,6 +300,26 @@ def test_battery_routes_agree(battery):
             assert naive.to_int() == c2, name
 
 
+@pytest.mark.parametrize("n", [0, 3])
+def test_design_routes_report_nothing_in_dimension_zero(f9, n):
+    ens = FFEnsemble(f9.ctx, np.zeros((n, 0, 2), dtype=np.int64))
+    assert check_2design_naive(ens) is None
+    assert check_2design_psi(ens) is None
+    assert check_tight_frame(ens) is None
+
+
+def test_design_routes_run_on_two_kernels(monkeypatch, f9, battery):
+    single = next(ens for name, ens, _ in battery if name == "single-f7e2")
+    for ens in (f9, single):
+        frame_ops = _counting_in(monkeypatch, kernels, "frame_operator")
+        products = _counting_in(monkeypatch, kernels, "matmul")
+        assert check_2design_naive(ens) is not None
+        assert (len(frame_ops), len(products)) == (1, 0)  # T: frame operator of x (x) x
+        assert check_2design_psi(ens) is not None
+        assert (len(frame_ops), len(products)) == (1, 1)
+        monkeypatch.undo()
+
+
 def test_design_checks_reject_even_characteristic():
     ctx = build_field(2, 6)
     v = np.zeros((1, 1, 6), dtype=np.int64)

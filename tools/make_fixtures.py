@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from designforge import io
+from designforge import io, kernels
 from designforge.cdesigns import CEnsemble, sic_from_fiducial
 from designforge.ffcore import build_field
 from designforge.ffdesigns import (
@@ -29,38 +29,23 @@ OUT = os.path.join(os.path.dirname(__file__), "..", "src", "designforge", "fixtu
 def f9_quadruple() -> FFEnsemble:
     """First norm-zero (0,1,0)-ETF quadruple in F_9^2, lexicographically."""
     ctx = build_field(3, 2)
-    vecs = []
-    for i in range(9):
-        for j in range(9):
-            if i == 0 and j == 0:
-                continue
-            vecs.append([ctx.from_int(i).coeffs, ctx.from_int(j).coeffs])
-    data = np.array(vecs, dtype=np.int64)  # (80, 2, 2)
-    fr = frobenius_array(ctx, data)
+    red, p, conj = ctx.red, ctx.p, ctx.conj_matrix()
+    elems = [ctx.from_int(i).coeffs for i in range(9)]
+    data = np.array(
+        [[elems[i], elems[j]] for i, j in itertools.product(range(9), repeat=2) if i or j]
+    )  # (80, 2, 2)
     # Hermitian norms <v, v> = sum_i frob(v_i) v_i
-    norms = []
-    for idx in range(data.shape[0]):
-        acc = ctx.zero()
-        for col in range(2):
-            acc = acc + ctx.element(fr[idx, col]) * ctx.element(data[idx, col])
-        norms.append(acc.is_zero())
-    iso = data[np.array(norms)]
+    norms = kernels.dot_batch(data, data, red, p, conj)
+    iso = data[~norms.any(axis=1)]
     assert iso.shape[0] == 32, iso.shape
     m = iso.shape[0]
     # pairwise product norms N(<v_i, v_j>) and outer products, precomputed
-    pairn = np.zeros((m, m), dtype=np.int64)
-    outers = np.zeros((m, 2, 2, 2), dtype=np.int64)
-    elems = [[ctx.element(iso[i, c]) for c in range(2)] for i in range(m)]
-    frel = [[ctx.element(frobenius_array(ctx, iso[i : i + 1])[0, c]) for c in range(2)] for i in range(m)]
-    for i in range(m):
-        for a in range(2):
-            for b in range(2):
-                outers[i, a, b] = (elems[i][a] * frel[i][b]).coeffs
-        for j in range(m):
-            g = frel[i][0] * elems[j][0] + frel[i][1] * elems[j][1]
-            gg = g * ctx.element(frobenius_array(ctx, g.coeffs[None, None])[0, 0])
-            pairn[i, j] = gg.coeffs[0]
-            assert gg.coeffs[1] == 0
+    ki, kj = np.divmod(np.arange(m * m), m)
+    g = kernels.gather_dot(iso, iso, ki, kj, red, p, conj)
+    gg = kernels.mul_batch(g, frobenius_array(ctx, g), red, p)
+    assert not gg[:, 1:].any()
+    pairn = gg[:, 0].reshape(m, m)
+    outers = kernels.mul_batch(iso[:, :, None], frobenius_array(ctx, iso)[:, None], red, p)
     for quad in itertools.combinations(range(m), 4):
         ok = all(pairn[a, b] == 1 for a, b in itertools.combinations(quad, 2))
         if not ok:
