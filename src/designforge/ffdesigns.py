@@ -15,13 +15,12 @@ two kernels: the dense route takes T as the frame operator of the lifted
 vectors, the blockwise route a matrix product for the map's matrix Psi.
 S, T and Psi are each compared with a scalar times a fixed target.  A
 parameter certificate route covers ensembles far too large to verify
-directly.  A Gabor ensemble that its metadata rebuilds gets c and c2 from
-counts on its difference set instead (`_weyl_heisenberg_c2`).
+directly.  A Gabor ensemble that its metadata rebuilds gets a, b, c and c2
+from its difference set instead, with no inner product.
 
 An FFEnsemble's data and metadata are read-only, so a private memo can keep
 every fact the claims share for the ensemble's life: the tightness
-constant, the canonical products <x_0, x_j>, whether the
-Gabor metadata rebuilds the data, and the ETF verdict.
+constant, whether the Gabor metadata rebuilds the data, and the ETF verdict.
 `verify_etf` alone picks the ETF route (structural when that rebuild
 matches exactly, else the full Gram), so the ETF and design claims share
 one verdict.
@@ -433,10 +432,8 @@ def check_etf(ens: FFEnsemble) -> EtfCheck:
 
     All n^2 inner products are formed, the pair values _PAIR_CHUNK pairs
     at a time, and the first pair whose value differs from that of (0, 1)
-    is the counterexample.  On success the consistency
-    identities n a = c d and a(c - a) = (n-1) b are asserted (a verified
-    tight frame spans F^d); they are theorems for any ETF, so a violation
-    means an arithmetic bug.
+    is the counterexample.  c and the ETF identities come from
+    `_tight_etf`.
     """
     ctx = ens.ctx
     n = ens.n
@@ -453,14 +450,24 @@ def check_etf(ens: FFEnsemble) -> EtfCheck:
     off = _first_off_pair(ens, _upper_pairs(n), b.coeffs)
     if off is not None:
         return EtfCheck(None, ("angle", *off))
+    return _tight_etf(ens, a, b, "full-gram")
+
+
+def _tight_etf(ens: FFEnsemble, a: FieldElement, b: FieldElement, method: str) -> EtfCheck:
+    """The ETF verdict on verified (a, b), with c from `check_tight_frame`.
+
+    A tight frame it accepts spans F^d, so n a = c d and a(c - a) = (n-1) b
+    hold for any ETF; a failure is an arithmetic bug.
+    """
+    ctx, n = ens.ctx, ens.n
     c = check_tight_frame(ens)
     if c is None:
-        return EtfCheck(None, ("tightness", 0, 0))
+        return EtfCheck(None, ("tightness", 0, 0), method)
     if ctx.scalar(n) * a != c * ctx.scalar(ens.d):
         raise DesignError("internal: trace identity n a = c dim failed")
     if a * (c - a) != ctx.scalar(n - 1) * b:
         raise DesignError("internal: row-sum identity a(c-a) = (n-1) b failed")
-    return EtfCheck((a, b, c))
+    return EtfCheck((a, b, c), method=method)
 
 
 def gram_sample_check(
@@ -470,9 +477,10 @@ def gram_sample_check(
     pairs: int = 100_000,
     seed: int = 0,
 ) -> bool:
-    """Spot-check (a, b) on random pairs; complements the structural route.
+    """Spot-check (a, b) on random pairs, drawn up front, _PAIR_CHUNK at a time.
 
-    The pairs are drawn up front and checked _PAIR_CHUNK at a time.
+    The structural route takes a rebuilt Gabor ensemble's (a, b) from D,
+    so this is the check of those values on its vectors.
     """
     rng = np.random.default_rng(seed)
     n = ens.n
@@ -817,38 +825,29 @@ def _rebuild_matches(ens: FFEnsemble) -> bool:
 
 
 def structural_gabor_verify(ens: FFEnsemble) -> EtfCheck:
-    """ETF verification from the d^2 canonical products of a Gabor ensemble.
+    """ETF parameters of a rebuilt Gabor ensemble from its difference set.
 
-    Any two ensemble vectors have inner product omega^j * <1_D, M^a T^b 1_D>
-    for some shift (a, b) and integer j, and omega^(q+1) = 1 because
-    frob(omega) omega = 1, which the construction checks — so the
-    (q+1)-power of every pair value is already among the canonical ones.
-    That argument holds only for the construction itself, so the metadata
-    must rebuild the data exactly (same field, D, alpha and omega, equal
-    vectors; the rebuild is compared one block of d vectors at a time and
-    never built whole), else MetadataMissing is raised.  On that rebuild
-    `check_tight_frame` derives tightness, c = d |D|, from the difference
-    set, and checks spanning at c = 0 by a rank.
+    x_{s d + t}[i] = omega^(s i) 1_D(i - t), and D has lam = 1 (a Singer
+    set is planar), so a = <x_k, x_k> = |D|.  For t != t' the supports
+    D + t and D + t' meet in lam points, so <x_k, x_l> is one power of
+    omega, whose (q+1)-power is 1.  For t = t' and e = s' - s != 0 it is
+    sum_{u,v in D} omega^(e(u-v)) = |D| + lam sum_{m != 0} omega^(e m)
+    = |D| - lam, as the d-th roots of unity sum to 0.  The two agree:
+    b = |D| - lam = r = 1 mod p.  Each fact is checked in code.
+    `_gabor_parts`, which every rebuild runs, checks that omega has order
+    d and frob(omega) omega = 1 (`_weyl_heisenberg_preconditions`) and
+    that p | r - 1; the rebuild checks that the data is the construction
+    (same field, D, alpha, omega and vectors), else MetadataMissing is
+    raised; `DifferenceSet.create` counts lam.  c = d |D| comes from
+    `check_tight_frame`, and `_tight_etf` asserts the ETF identities.  No
+    inner product is formed; `gram_sample_check` tests (a, b) on the data.
     """
     if ens.metadata.get("kind") != "gabor":
         raise MetadataMissing("structural verification needs Gabor metadata")
     if not _rebuilds_gabor(ens):
         raise MetadataMissing("Gabor metadata does not rebuild the ensemble's data")
-    ctx, n = ens.ctx, ens.n
-    ips = _memoized(
-        ens, "canonical", lambda: _pair_inner(ens, np.zeros(n, dtype=np.int64), np.arange(n))
-    )
-    a = FieldElement(ctx, ips[0])
-    vals = _norm_values(ens, ips[1:])
-    b = FieldElement(ctx, vals[0])
-    bad = np.nonzero(np.any(vals != vals[0], axis=1))[0]
-    method = "structural-gabor"
-    if bad.size:
-        return EtfCheck(None, ("angle", 0, int(bad[0]) + 1), method)
-    c = check_tight_frame(ens)
-    if c is None:
-        return EtfCheck(None, ("tightness", 0, 0), method)
-    return EtfCheck((a, b, c), method=method)
+    ctx, ds = ens.ctx, DifferenceSet.create(ens.d, ens.metadata["D"])
+    return _tight_etf(ens, ctx.scalar(len(ds)), ctx.scalar(len(ds) - ds.lam), "structural-gabor")
 
 
 def verify_etf(ens: FFEnsemble) -> EtfCheck:
@@ -858,13 +857,9 @@ def verify_etf(ens: FFEnsemble) -> EtfCheck:
     Gram (`check_etf`) for every other ensemble.  The verdict is computed
     once per ensemble.
     """
-    return _memoized(ens, "etf", lambda: _etf_verdict(ens))
-
-
-def _etf_verdict(ens: FFEnsemble) -> EtfCheck:
-    if _rebuilds_gabor(ens):
-        return structural_gabor_verify(ens)
-    return check_etf(ens)
+    return _memoized(
+        ens, "etf", lambda: structural_gabor_verify(ens) if _rebuilds_gabor(ens) else check_etf(ens)
+    )
 
 
 def harmonic_etf(ctx: FieldCtx, ds: DifferenceSet) -> FFEnsemble:

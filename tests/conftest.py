@@ -37,7 +37,7 @@ def forged_gabor_d13():
     rho = <x_0, x_1> conj(<x_0, x_2>), t = N(v) not in {0, 1},
     z = (t + t^2)^(q/2) for q = 64 and u = z / (conj(v) rho).  Every
     N(<x_0, y>) and the frame operator stay those of the genuine ensemble, so
-    the canonical products cannot tell, yet the full Gram finds
+    the products with x_0 cannot tell, yet the full Gram finds
     ("angle", 1, 13).
     """
     ens = gabor_ensemble(2, 6, 3)

@@ -611,6 +611,55 @@ def test_metadata_array_that_rebuilds_the_data_gets_the_structural_route():
 
 
 # ---------------------------------------------------------------------------
+# structural route: a and b of a rebuilt Gabor ensemble from its difference set
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p,k,r", [(2, 6, 3), (2, 9, 7), (7, 12, 8)], ids=["d13", "d57", "d73"])
+def test_structural_etf_values_match_the_data(p, k, r):
+    # <x_0, x_0> is a, and the (q+1)-power of every other <x_0, x_j> is b
+    ens = gabor_ensemble(p, k, r)
+    a, b, _ = structural_gabor_verify(ens).params
+    ips = ffdesigns._pair_inner(ens, np.zeros(ens.n, dtype=np.int64), np.arange(ens.n))
+    assert np.array_equal(ips[0], a.coeffs)
+    assert np.all(ffdesigns._norm_values(ens, ips[1:]) == b.coeffs)
+
+
+def test_structural_route_forms_no_inner_product(monkeypatch):
+    ens = gabor_ensemble(7, 12, 8)
+    dots = _counting_in(monkeypatch, kernels, "gather_dot")
+    products = _counting_in(monkeypatch, kernels, "mul_batch")
+    res = structural_gabor_verify(ens)
+    cert = certify_tight_2design(ens)
+    assert [v.to_int() for v in res.params] == [2, 1, 6] and cert.etf == res.params
+    assert (len(dots), len(products)) == (0, 0)
+    assert set(ens._memo) <= {"tight", "rebuilds", "etf"}
+
+
+def test_spot_check_catches_a_wrong_derived_value():
+    # ACCEPTANCE 2 runs this check on the d = 73 data: it must not go slack
+    ens = gabor_ensemble(7, 12, 8)
+    ctx = ens.ctx
+    a, b, _ = structural_gabor_verify(ens).params
+    assert gram_sample_check(ens, a, b, pairs=20_000)
+    assert not gram_sample_check(ens, a, b + ctx.one(), pairs=20_000)
+    assert not gram_sample_check(ens, a + ctx.one(), b, pairs=20_000)
+
+
+def test_etf_identities_catch_a_wrong_derived_value():
+    # at d = 73 over F_7 a wrong b or a fails an identity at run time; in
+    # characteristic 2 (a = c = 0, n - 1 even) both identities read 0 = 0
+    ens = gabor_ensemble(7, 12, 8)
+    ctx = ens.ctx
+    a, b, _ = structural_gabor_verify(ens).params
+    for wrong in (b + ctx.one(), ctx.zero()):
+        with pytest.raises(DesignError, match="row-sum identity"):
+            ffdesigns._tight_etf(ens, a, wrong, "structural-gabor")
+    with pytest.raises(DesignError, match="trace identity"):
+        ffdesigns._tight_etf(ens, a + ctx.one(), b, "structural-gabor")
+
+
+# ---------------------------------------------------------------------------
 # per-ensemble memo
 # ---------------------------------------------------------------------------
 
