@@ -50,8 +50,6 @@ from .ffcore import (
 from .fflinalg import (
     BudgetExceeded,
     EvenCharacteristic,
-    FFMatrix,
-    FFVector,
     frobenius_array,
     rank,
     nullspace,
@@ -224,11 +222,6 @@ class FFEnsemble:
         self.metadata = _read_only(metadata or {})
         self._memo = {}
 
-    @classmethod
-    def from_vectors(cls, vectors: Sequence[FFVector], metadata=None) -> "FFEnsemble":
-        ctx = vectors[0].ctx
-        return cls(ctx, np.stack([v.data for v in vectors]), metadata)
-
     @property
     def n(self) -> int:
         return self.data.shape[0]
@@ -236,9 +229,6 @@ class FFEnsemble:
     @property
     def d(self) -> int:
         return self.data.shape[1]
-
-    def vector(self, i: int) -> FFVector:
-        return FFVector(self.ctx, self.data[i])
 
     def __repr__(self):
         return f"FFEnsemble(n={self.n}, d={self.d}, p={self.ctx.p}, k={self.ctx.deg})"
@@ -582,7 +572,7 @@ def check_2design_naive(ens: FFEnsemble) -> Optional[FieldElement]:
         raise BudgetExceeded(f"naive route cost n d^4 = {n * d ** 4} over budget")
     lifted = _lifted_vectors(ens)
     t = kernels.frame_operator(lifted, ctx.conj_matrix(), ctx.red, ctx.p)
-    c2 = _multiple_of(ctx, t, sym_projector(ctx, d).data[:, :, 0])
+    c2 = _multiple_of(ctx, t, sym_projector(ctx, d))
     if c2 is not None and c2.is_zero() and not _spans(ctx, lifted, d * (d + 1) // 2):
         return None  # the lifted vectors lie in Sym
     return c2
@@ -705,24 +695,26 @@ def certify_tight_2design(ens: FFEnsemble) -> FFCertificate:
     return cert
 
 
-def decomposition_check(ens: FFEnsemble, c2: FieldElement, a_mat: FFMatrix) -> bool:
-    """Audit the reconstruction A = (2/c2) sum_k x_k x_k* A x_k x_k* - tr(A) I."""
+def decomposition_check(ens: FFEnsemble, c2: FieldElement, a_mat: np.ndarray) -> bool:
+    """Audit the reconstruction A = (2/c2) sum_k x_k x_k* A x_k x_k* - tr(A) I.
+
+    a_mat is a (d, d, K) coefficient array.
+    """
     if c2.is_zero():
         raise ZeroC2("reconstruction needs c2 != 0")
     ctx, d = ens.ctx, ens.d
+    a = np.asarray(a_mat, dtype=np.int64) % ctx.p
     xs = ens.data
     xf = frobenius_array(ctx, xs)
-    t1 = kernels.matmul(xf, a_mat.data, ctx.red, ctx.p)  # (n, d, K)
+    t1 = kernels.matmul(xf, a, ctx.red, ctx.p)  # (n, d, K)
     w = kernels.dot_batch(t1, xs, ctx.red, ctx.p)  # w_k = x_k* A x_k
     scaled = kernels.mul_batch(w[:, None], xs, ctx.red, ctx.p)
     m = kernels.matmul(scaled.transpose(1, 0, 2), xf, ctx.red, ctx.p)  # sum_k w_k x_k x_k*
     factor = ctx.scalar(2) / c2
     rhs = kernels.mul_batch(m, factor.coeffs, ctx.red, ctx.p)
-    tr = FieldElement(ctx, a_mat.data[np.arange(d), np.arange(d)].sum(axis=0) % ctx.p)
-    rhs[np.arange(d), np.arange(d)] = (
-        rhs[np.arange(d), np.arange(d)] - tr.coeffs[None, :]
-    ) % ctx.p
-    return np.array_equal(rhs, a_mat.data)
+    diag = np.arange(d)
+    rhs[diag, diag] = (rhs[diag, diag] - a[diag, diag].sum(axis=0)) % ctx.p
+    return np.array_equal(rhs, a)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Exact linear algebra over F_{q^2} with the conjugation twisted by Frobenius.
+"""Exact linear algebra over F_{q^2} on plain coefficient arrays.
 
-Vectors and matrices hold int64 coefficient arrays with a trailing axis of
-length K = ctx.deg (one coefficient vector per entry).  The sesquilinear
-inner product conjugates the FIRST argument entrywise with the q-power map:
-<x, y> = sum_i frob(x_i) * y_i, so <x, y> = frob(<y, x>).
+A vector is a (d, K) int64 array and a matrix an (r, c, K) one, with
+K = ctx.deg coefficients per entry; stacks add leading axes.  The Hermitian
+form <x, y> = sum_i frob(x_i) * y_i, conjugate-linear in the FIRST argument
+so that <x, y> = frob(<y, x>), is `kernels.dot_batch` with the conjugation
+matrix ctx.conj_matrix() as its `frob` argument.
 
 Row reduction uses first-nonzero pivoting in the fixed row/column order, so
 echelon forms, ranks, and nullspace bases are deterministic.
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .ffcore import ContextMismatch, FieldCtx, FieldElement
+from .ffcore import FieldCtx, FieldElement
 
 
 class LinalgError(Exception):
@@ -31,9 +32,6 @@ class BudgetExceeded(LinalgError):
     """Raised when an exact computation would exceed its size budget."""
 
 
-SYM_PROJECTOR_MAX_DIM = 16
-
-
 def frobenius_array(ctx: FieldCtx, arr: np.ndarray) -> np.ndarray:
     """Apply the q-power map entrywise to an (..., K) coefficient array."""
     kernels._check_exact(ctx.deg, ctx.p, "frobenius_array")
@@ -43,159 +41,20 @@ def frobenius_array(ctx: FieldCtx, arr: np.ndarray) -> np.ndarray:
     return out.reshape(arr.shape)
 
 
-class FFVector:
-    """Length-d vector over a field context; data has shape (d, K)."""
+def sym_projector(ctx: FieldCtx, d: int) -> np.ndarray:
+    """Projector (I + SWAP)/2 onto the symmetric subspace of F^d (x) F^d.
 
-    __slots__ = ("ctx", "data")
-
-    def __init__(self, ctx: FieldCtx, data):
-        self.ctx = ctx
-        arr = np.asarray(data, dtype=np.int64) % ctx.p
-        if arr.ndim != 2 or arr.shape[1] != ctx.deg:
-            raise ValueError(f"expected (d, {ctx.deg}) coefficients, got {arr.shape}")
-        self.data = np.ascontiguousarray(arr)
-
-    @classmethod
-    def from_elements(cls, elems) -> "FFVector":
-        ctx = elems[0].ctx
-        return cls(ctx, np.stack([e.coeffs for e in elems]))
-
-    def __len__(self):
-        return self.data.shape[0]
-
-    def __getitem__(self, i: int) -> FieldElement:
-        return FieldElement(self.ctx, self.data[i])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FFVector)
-            and self.ctx is other.ctx
-            and np.array_equal(self.data, other.data)
-        )
-
-    def __repr__(self):
-        return f"FFVector(d={len(self)}, p={self.ctx.p}, k={self.ctx.deg})"
-
-
-class FFMatrix:
-    """Matrix over a field context; data has shape (rows, cols, K)."""
-
-    __slots__ = ("ctx", "data")
-
-    def __init__(self, ctx: FieldCtx, data):
-        self.ctx = ctx
-        arr = np.asarray(data, dtype=np.int64) % ctx.p
-        if arr.ndim != 3 or arr.shape[2] != ctx.deg:
-            raise ValueError(f"expected (r, c, {ctx.deg}) coefficients, got {arr.shape}")
-        self.data = np.ascontiguousarray(arr)
-
-    @property
-    def shape(self):
-        return self.data.shape[:2]
-
-    @classmethod
-    def zeros(cls, ctx: FieldCtx, rows: int, cols: int) -> "FFMatrix":
-        return cls(ctx, np.zeros((rows, cols, ctx.deg), dtype=np.int64))
-
-    def _check(self, other):
-        if self.ctx is not other.ctx:
-            raise ContextMismatch("matrices belong to different field contexts")
-
-    def __add__(self, other):
-        self._check(other)
-        return FFMatrix(self.ctx, (self.data + other.data) % self.ctx.p)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FFMatrix(self.ctx, (self.data - other.data) % self.ctx.p)
-
-    def __matmul__(self, other):
-        self._check(other)
-        if self.shape[1] != other.shape[0]:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        out = kernels.matmul(self.data, other.data, self.ctx.red, self.ctx.p)
-        return FFMatrix(self.ctx, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FFMatrix)
-            and self.ctx is other.ctx
-            and np.array_equal(self.data, other.data)
-        )
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.ctx, self.data[i, j])
-
-    def is_zero(self) -> bool:
-        return not np.any(self.data)
-
-    def __repr__(self):
-        r, c = self.shape
-        return f"FFMatrix({r}x{c}, p={self.ctx.p}, k={self.ctx.deg})"
-
-
-# ---------------------------------------------------------------------------
-# products and conjugation
-# ---------------------------------------------------------------------------
-
-
-def herm_inner(x: FFVector, y: FFVector) -> FieldElement:
-    """Sesquilinear inner product, conjugate-linear in the first argument."""
-    if x.ctx is not y.ctx:
-        raise ContextMismatch("vectors belong to different field contexts")
-    if len(x) != len(y):
-        raise ValueError("length mismatch")
-    ctx = x.ctx
-    out = kernels.dot_batch(x.data[None], y.data[None], ctx.red, ctx.p, ctx.conj_matrix())[0]
-    return FieldElement(ctx, out)
-
-
-def conj_transpose(m: FFMatrix) -> FFMatrix:
-    """Adjoint: (A*)_ij = frob(A_ji)."""
-    swapped = np.swapaxes(m.data, 0, 1)
-    return FFMatrix(m.ctx, frobenius_array(m.ctx, swapped))
-
-
-def outer(x: FFVector, y: Optional[FFVector] = None) -> FFMatrix:
-    """Rank-one matrix x y* (defaults to x x*)."""
-    if y is None:
-        y = x
-    ctx = x.ctx
-    yf = frobenius_array(ctx, y.data)
-    return FFMatrix(ctx, kernels.mul_batch(x.data[:, None], yf, ctx.red, ctx.p))
-
-
-def trace(m: FFMatrix) -> FieldElement:
-    r, c = m.shape
-    if r != c:
-        raise ValueError("trace needs a square matrix")
-    s = m.data[np.arange(r), np.arange(r)].sum(axis=0) % m.ctx.p
-    return FieldElement(m.ctx, s)
-
-
-def sym_projector(ctx: FieldCtx, d: int) -> FFMatrix:
-    """Projector onto the symmetric subspace of F^d (x) F^d, materialized.
-
-    Equals (I + SWAP)/2, so odd characteristic is required.  Dense
-    materialization is limited to d <= SYM_PROJECTOR_MAX_DIM; larger d
-    should go through the implicit symmetrization used by the block verifier.
+    A (d^2, d^2) int64 matrix over F_p, since every entry is 0, 1/2 or 1;
+    SWAP sends index i d + j to j d + i.  Odd characteristic is required.
     """
     if ctx.p == 2:
         raise EvenCharacteristic("symmetric projector needs 1/2; p = 2 has none")
-    if d > SYM_PROJECTOR_MAX_DIM:
-        raise BudgetExceeded(
-            f"dense symmetric projector limited to d <= {SYM_PROJECTOR_MAX_DIM}, got {d}"
-        )
-    n = d * d
-    inv2 = pow(2, ctx.p - 2, ctx.p)
-    idx = np.arange(n)
-    i, j = idx // d, idx % d
-    swap = j * d + i
-    data = np.zeros((n, n, ctx.deg), dtype=np.int64)
-    data[idx, idx, 0] += inv2
-    data[idx, swap, 0] += inv2
-    data[:, :, 0] %= ctx.p
-    return FFMatrix(ctx, data)
+    idx = np.arange(d * d)
+    i, j = np.divmod(idx, d)
+    out = np.zeros((d * d, d * d), dtype=np.int64)
+    out[idx, idx] += (ctx.p + 1) // 2
+    out[idx, j * d + i] += (ctx.p + 1) // 2
+    return out % ctx.p
 
 
 # ---------------------------------------------------------------------------

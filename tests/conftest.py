@@ -5,8 +5,7 @@ import importlib.resources as resources
 import numpy as np
 import pytest
 
-from designforge.ffcore import build_field, frobenius
-from designforge.fflinalg import herm_inner
+from designforge.ffcore import FieldElement, build_field, frobenius
 from designforge.ffdesigns import FFEnsemble, gabor_ensemble, harmonic_etf, singer_difference_set
 from designforge.io import load_design
 
@@ -42,8 +41,12 @@ def forged_gabor_d13():
     """
     ens = gabor_ensemble(2, 6, 3)
     ctx = ens.ctx
-    x1, x2 = ens.vector(1), ens.vector(2)
-    rho = herm_inner(ens.vector(0), x1) * frobenius(herm_inner(ens.vector(0), x2))
+    x0, x1, x2 = ([FieldElement(ctx, c) for c in ens.data[i]] for i in range(3))
+
+    def herm(x, y):
+        return sum((frobenius(xi) * yi for xi, yi in zip(x, y)), ctx.zero())
+
+    rho = herm(x0, x1) * frobenius(herm(x0, x2))
     v = next(e for e in ctx.elements() if not e.is_zero() and e * frobenius(e) != ctx.one())
     t = v * frobenius(v)
     u = (t + t * t) ** 32 / (frobenius(v) * rho)

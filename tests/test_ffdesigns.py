@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from designforge.ffcore import (
+    FieldElement,
     NotQuadraticExtension,
     OrderDoesNotDivide,
     build_field,
     frobenius,
     root_of_unity,
 )
-from designforge.fflinalg import BudgetExceeded, EvenCharacteristic, FFMatrix, FFVector
+from designforge.fflinalg import BudgetExceeded, EvenCharacteristic
 from designforge import ffdesigns, fflinalg, kernels
 from designforge.ffdesigns import (
     DesignError,
@@ -116,10 +117,7 @@ def test_singer_rejects_non_prime_powers():
 def test_f9_fixture_shape(f9):
     assert (f9.n, f9.d) == (4, 2)
     assert f9.ctx.order == 9
-    v = f9.vector(0)
-    assert isinstance(v, FFVector) and len(v) == 2
-    rebuilt = FFEnsemble.from_vectors([f9.vector(i) for i in range(4)], f9.metadata)
-    assert np.array_equal(rebuilt.data, f9.data)
+    assert f9.data.shape == (4, 2, 2)
 
 
 def test_f9_is_a_zero_tight_etf(f9):
@@ -340,6 +338,15 @@ def test_design_checks_respect_budget(f9, monkeypatch):
         check_2design_psi(f9)
 
 
+def test_naive_route_answers_above_d16():
+    # the dense route's only limit is its n d^4 budget: two random vectors in
+    # F_9^17 (n d^4 = 167 042) are no design, and both routes say so
+    ctx = build_field(3, 2)
+    ens = FFEnsemble(ctx, np.random.default_rng(17).integers(0, 3, size=(2, 17, 2)))
+    assert check_2design_naive(ens) is None
+    assert check_2design_psi(ens) is None
+
+
 def test_certificate_shows_skipped_psi_budget(f9, monkeypatch):
     # no odd-characteristic Gabor ensemble is smaller than d = 73, so the
     # 4-vector F_9 design stands in, with the budget set below its n d^4 = 64
@@ -386,10 +393,11 @@ def test_decomposition_audit(f9):
     c2 = check_2design_naive(f9)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        a = FFMatrix(ctx, rng.integers(0, 3, size=(2, 2, 2)).astype(np.int64))
+        a = rng.integers(0, 3, size=(2, 2, 2))
         assert decomposition_check(f9, c2, a)
+        assert not decomposition_check(f9, c2 + c2, a)
     with pytest.raises(ZeroC2):
-        decomposition_check(f9, ctx.zero(), FFMatrix.zeros(ctx, 2, 2))
+        decomposition_check(f9, ctx.zero(), np.zeros((2, 2, 2), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +417,7 @@ def test_gabor_small_instance():
     assert res.params == (ctx.zero(), ctx.one(), ctx.zero())
     # vector s*d + t is omega^{s x} on the translated support D + t
     s, t = 5, 2
-    v = ens.vector(s * 13 + t)
+    v = [FieldElement(ctx, c) for c in ens.data[s * 13 + t]]
     support = sorted((x + t) % 13 for x in meta["D"])
     for x in range(13):
         if x in support:
